@@ -486,8 +486,8 @@ func BenchmarkSCMatchOracle(b *testing.B) {
 // result, which the fast path fully resolves (lock rf pins down through
 // the from-read and coherence-final rules). "search" is the
 // result-directed exhaustive fallback; "enumerate" is the SC outcome-set
-// construction a canonicalization miss pays before any set membership
-// test can answer.
+// construction a program pays, once, before any set membership test can
+// answer.
 func BenchmarkSatFastPath(b *testing.B) {
 	prog := gen.RaceFree(gen.RaceFreeConfig{
 		Procs: 2, Locks: 1, SharedPerLock: 2, PrivatePerProc: 1,

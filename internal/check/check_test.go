@@ -1,6 +1,8 @@
 package check
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,6 +21,27 @@ func smallCampaign(seed int64) CampaignConfig {
 		Seed:           seed,
 		Programs:       8,
 		SeedsPerConfig: 1,
+	}
+}
+
+// Pinned Summary.JSON digests: a change to the oracle's machinery that
+// keeps verdicts and accounting must leave these bytes alone. Update a
+// constant only for a deliberate change to what a summary reports.
+const (
+	deterministicSummarySHA256 = "00ee3f18c6a5b25339fd5df6af83ff3b3b1264875205123ece67e9e24ed06cdb"
+	faultSummarySHA256         = "81b8ae5960d00d06bced2088bd98ea8155417a4d153815a1e0acab9480265a79"
+)
+
+// checkSummaryDigest fails t unless the sha256 of s's JSON is want.
+func checkSummaryDigest(t *testing.T, s *Summary, want string) {
+	t.Helper()
+	j, err := s.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(j)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("summary sha256 = %s, want %s:\n%s", got, want, j)
 	}
 }
 
@@ -65,6 +88,7 @@ func TestCampaignDeterministic(t *testing.T) {
 	if string(j1) != string(j2) {
 		t.Fatalf("summaries differ across worker counts:\n--- workers=1\n%s\n--- workers=4\n%s", j1, j2)
 	}
+	checkSummaryDigest(t, s1, deterministicSummarySHA256)
 }
 
 // TestCampaignCleanHasNoViolations pins the core contract on the real
@@ -246,6 +270,7 @@ func TestFaultYieldsShrunkReproducer(t *testing.T) {
 	if len(s.Violations) == 0 {
 		t.Fatal("fault hook produced no violation")
 	}
+	checkSummaryDigest(t, s, faultSummarySHA256)
 	for _, v := range s.Violations {
 		if v.Kind != KindDefinition2 {
 			t.Errorf("violation kind %q, want %q", v.Kind, KindDefinition2)

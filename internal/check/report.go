@@ -172,11 +172,12 @@ type OracleStats struct {
 	// Queries is the number of appears-SC decisions requested (including
 	// those absorbed by program-local L1 memos).
 	Queries int `json:"queries"`
-	// L1Hits counts queries answered by a program-local memo without
-	// touching the shared (striped) cache.
+	// L1Hits counts queries answered by the program's memo of earlier
+	// verdicts on the same result key.
 	L1Hits int `json:"l1Hits"`
-	// Enumerations is the number of full outcome enumerations performed
-	// (once per distinct program).
+	// Enumerations is the number of SC outcome-set enumerations
+	// performed: at most one per program, and only for programs with a
+	// query the saturation fast path handed on.
 	Enumerations int `json:"enumerations"`
 	// Incomplete counts enumerations that exceeded their budget and
 	// produced only a partial outcome set.
@@ -186,8 +187,9 @@ type OracleStats struct {
 	// Fallbacks counts queries that ran a result-directed search because
 	// the outcome set was incomplete and did not contain the result.
 	Fallbacks int `json:"fallbacks"`
-	// FallbackMemoHits counts fallback queries answered from the
-	// per-program result memo without a new search.
+	// FallbackMemoHits is always 0: the oracle is per program, and its
+	// L1 memo answers every repeated result before a search could be
+	// reused. The field is kept so summaries stay byte-stable.
 	FallbackMemoHits int `json:"fallbackMemoHits"`
 	// BudgetExceeded counts fallback searches that exceeded MaxStates;
 	// such results are conservatively treated as appearing SC.
@@ -260,8 +262,8 @@ type Perf struct {
 	ProgramsPerSec float64
 	SimsPerSec     float64
 	// OracleHitRate is the fraction of appears-SC queries answered
-	// without a fresh enumeration or search (L1 memo, enumerated set,
-	// fallback memo, or the saturation fast path).
+	// without a result-directed search (L1 memo, the saturation fast
+	// path, or the enumerated outcome set).
 	OracleHitRate float64
 	// SatFastRate is the fraction of L1-missing queries the polynomial
 	// saturation stage decided without enumeration.

@@ -233,7 +233,6 @@ func TestPublisherPartialSummaryMatchesFinal(t *testing.T) {
 	c := &campaign{cfg: cfg.withDefaults(), matrix: Matrix(cfg.withDefaults().Policies, cfg.withDefaults().Topologies)}
 	pub := newPublisher(c.cfg, c.matrix, time.Now())
 	// Re-run deterministically to regenerate the outcomes and feed them.
-	c.oracle = newOracle()
 	c.pub = pub
 	outs, err := c.runPool()
 	if err != nil {

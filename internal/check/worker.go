@@ -24,7 +24,6 @@ import (
 type campaign struct {
 	cfg    CampaignConfig
 	matrix []machine.Config
-	oracle *oracle
 
 	// journal, when non-nil, receives every completed program's outcome;
 	// done holds outcomes replayed from a resumed journal, keyed by
@@ -105,11 +104,8 @@ func (c *campaign) progressLine() {
 // payload (journal.go); the JSON encoding must round-trip exactly.
 type simRecord struct {
 	Policy string `json:"policy"`
-	// Key is the observed result's key in the program's own coordinates
-	// (coverage accounting); CanonKey is the same result in canonical
-	// coordinates (oracle accounting, shared across isomorphic programs).
-	Key      string `json:"key"`
-	CanonKey string `json:"canonKey,omitempty"`
+	// Key is the observed result's key (mem.Result.Key).
+	Key string `json:"key"`
 	// AppearsSC is the oracle verdict; meaningless when Skipped != "".
 	AppearsSC bool `json:"appearsSC,omitempty"`
 	// Skipped, when non-empty, names why the oracle decision was
@@ -117,7 +113,7 @@ type simRecord struct {
 	// contributes no verdict.
 	Skipped string `json:"skipped,omitempty"`
 	// Oracle accounting, aggregated by summarize: L1 marks a query
-	// absorbed by the program-local memo, Sat one decided by the
+	// absorbed by the program's L1 memo, Sat one decided by the
 	// polynomial saturation fast path (no enumeration ran), Enum one
 	// answered from the enumerated outcome set, Budget a fallback search
 	// that exceeded its state budget (conservatively SC). SatFallback,
@@ -136,10 +132,6 @@ type simRecord struct {
 // makes a journaled outcome exactly substitutable for a recomputed one.
 type progOutcome struct {
 	Class string `json:"class"`
-	// CanonHash is the program's canonical cache key (canon.go); the
-	// summarize aggregation counts entry-level oracle events (one
-	// enumeration, one fallback search per distinct key) once per hash.
-	CanonHash string `json:"canonHash"`
 	// Enumerated marks that this program queried the enumerated outcome
 	// set; EnumComplete whether that set was complete.
 	Enumerated   bool              `json:"enumerated,omitempty"`
@@ -231,8 +223,8 @@ func (c *campaign) deadlineHook() func() bool {
 // runProgram generates program idx, classifies it, simulates it across
 // the whole config matrix, and shrinks any violation it finds. A panic
 // anywhere in the per-check work is recovered by checkOne; a panic
-// outside it (generation, canonicalization, classification) is recovered
-// here and reported as a program-level KindWorkerPanic.
+// outside it (generation, classification) is recovered here and
+// reported as a program-level KindWorkerPanic.
 func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err error) {
 	specs := generators()
 	spec := specs[idx%len(specs)]
@@ -275,14 +267,11 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 	}()
 
 	prog = spec.make(genSeed)
-	cn := canonicalize(prog)
-	entry := c.oracle.entry(cn.hash)
-	out.CanonHash = cn.hash
 
 	class := spec.class
 	if class == "" {
 		var skipped bool
-		class, skipped = entry.classify(prog, c.deadlineHook())
+		class, skipped = classify(prog, c.deadlineHook())
 		if skipped {
 			out.Skips = append(out.Skips, SkipRecord{
 				ProgramIndex: idx,
@@ -293,10 +282,7 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 	}
 	out.Class = class
 
-	// l1 memoizes appears-SC verdicts for this program's own runs: the
-	// matrix × seeds loop observes the same few outcomes over and over,
-	// and a local map answers repeats without the shared entry's lock.
-	l1 := make(map[string]l1Verdict, 8)
+	o := &programOracle{prog: prog, l1: make(map[string]bool, 8)}
 	for cfgIdx, mcfg := range c.matrix {
 		// Pad the machine to the campaign's processor floor. The padding
 		// depends only on (Procs, program), so the Summary stays
@@ -306,7 +292,7 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 		}
 		for s := 0; s < c.cfg.SeedsPerConfig; s++ {
 			machineSeed := deriveSeed(c.cfg.Seed, uint64(idx), uint64(cfgIdx), uint64(s), 0x5eed5)
-			panicked, err := c.checkOne(&out, ws, prog, cn, entry, spec, genSeed, idx, cfgIdx, mcfg, machineSeed, l1)
+			panicked, err := c.checkOne(&out, ws, o, spec, genSeed, idx, cfgIdx, mcfg, machineSeed)
 			if err != nil {
 				return out, err
 			}
@@ -337,24 +323,17 @@ func panicStack(r interface{}, stack []byte) string {
 	return stackGoroutinePat.ReplaceAllString(s, "goroutine N")
 }
 
-// l1Verdict is a program-local memo of one appears-SC decision,
-// including the accounting flags so repeated observations replay the
-// first decision's record exactly.
-type l1Verdict struct {
-	sc   bool
-	info queryInfo
-}
-
 // checkOne runs one (program, config, machine seed) check: simulate,
 // adjudicate against the oracle, shrink and report any violation. A
 // panic anywhere inside is recovered, reported as a shrunk
 // KindWorkerPanic violation, and signaled to the caller so it can
 // quarantine the (program, config) pair. The worker's pool is replaced
 // after a panic — a half-stepped pooled machine must not be reused.
-func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Program,
-	cn canon, entry *oracleEntry, spec genSpec, genSeed int64, idx, cfgIdx int,
-	mcfg machine.Config, machineSeed int64, l1 map[string]l1Verdict) (panicked bool, err error) {
+func (c *campaign) checkOne(out *progOutcome, ws *workerState, o *programOracle,
+	spec genSpec, genSeed int64, idx, cfgIdx int,
+	mcfg machine.Config, machineSeed int64) (panicked bool, err error) {
 
+	prog := o.prog
 	c.pub.noteSim(cfgIdx)
 	defer func() {
 		r := recover()
@@ -401,16 +380,9 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 	if c.cfg.Fault != nil {
 		c.cfg.Fault(mcfg, prog, res)
 	}
-	canonKey := cn.key(res.Result)
-	v, hit := l1[canonKey]
-	if hit {
-		out.Sims = append(out.Sims, simRecord{
-			Policy:    mcfg.Policy.String(),
-			Key:       res.Result.Key(),
-			CanonKey:  canonKey,
-			AppearsSC: v.sc,
-			L1:        true,
-		})
+	rec := simRecord{Policy: mcfg.Policy.String(), Key: res.Result.Key()}
+	if sc, hit := o.l1[rec.Key]; hit {
+		rec.AppearsSC, rec.L1 = sc, true
 	} else if d := c.satDecide(prog, res.Result); d.Verdict != sat.Fallback {
 		// Tier-0 polynomial fast path: the saturation procedure decided
 		// the observation without enumerating a single interleaving.
@@ -419,20 +391,12 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 		// the verdict — unlike the search's budget-exceeded answer — is
 		// never conservative, and memoizing it in the L1 keeps repeated
 		// observations off the fast path too.
-		v = l1Verdict{sc: d.Verdict == sat.Accepted, info: queryInfo{sat: true}}
-		l1[canonKey] = v
-		out.Sims = append(out.Sims, simRecord{
-			Policy:    mcfg.Policy.String(),
-			Key:       res.Result.Key(),
-			CanonKey:  canonKey,
-			AppearsSC: v.sc,
-			Sat:       true,
-		})
+		rec.AppearsSC, rec.Sat = d.Verdict == sat.Accepted, true
+		o.l1[rec.Key] = rec.AppearsSC
 	} else {
-		sc, info, oerr := entry.appearsSC(prog, cn, canonKey, res.Result, c.deadlineHook())
-		info.satFallback = d.Reason
+		oerr := o.appearsSC(&rec, res.Result, c.deadlineHook())
 		out.Enumerated = true
-		out.EnumComplete = entry.complete
+		out.EnumComplete = o.complete
 		if oerr != nil {
 			if !errors.Is(oerr, errDeadline) {
 				return false, fmt.Errorf("%s on %s: oracle: %w", prog.Name, mcfg.Name(), oerr)
@@ -440,12 +404,8 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 			// Deadline skip: the simulation ran, the verdict did not.
 			// Not memoized — a later identical observation gets a fresh
 			// budget — and not a violation either way.
-			out.Sims = append(out.Sims, simRecord{
-				Policy:   mcfg.Policy.String(),
-				Key:      res.Result.Key(),
-				CanonKey: canonKey,
-				Skipped:  "deadline",
-			})
+			rec.Skipped = "deadline"
+			out.Sims = append(out.Sims, rec)
 			out.Skips = append(out.Skips, SkipRecord{
 				ProgramIndex: idx,
 				Config:       describeConfig(mcfg),
@@ -458,19 +418,11 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 			}
 			return false, nil
 		}
-		v = l1Verdict{sc: sc, info: info}
-		l1[canonKey] = v
-		out.Sims = append(out.Sims, simRecord{
-			Policy:      mcfg.Policy.String(),
-			Key:         res.Result.Key(),
-			CanonKey:    canonKey,
-			AppearsSC:   v.sc,
-			SatFallback: info.satFallback,
-			Enum:        info.enum,
-			Budget:      info.budget,
-		})
+		rec.SatFallback = d.Reason
+		o.l1[rec.Key] = rec.AppearsSC
 	}
-	kind := violationKind(out.Class, mcfg.Policy, v.sc)
+	out.Sims = append(out.Sims, rec)
+	kind := violationKind(out.Class, mcfg.Policy, rec.AppearsSC)
 	if kind == "" {
 		return false, nil
 	}
@@ -488,10 +440,9 @@ func (c *campaign) checkOne(out *progOutcome, ws *workerState, prog *program.Pro
 
 // satDecide runs the polynomial appears-SC fast path for one observed
 // result, or reports an empty Fallback when the campaign disables it.
-// The decision is a pure function of (program, result) — no shared
-// cache state — so it cannot perturb the Summary's worker-count
-// invariance; under a per-check deadline it gets its own budget, like
-// every other oracle stage.
+// The decision is a pure function of (program, result), so it cannot
+// perturb the Summary's worker-count invariance; under a per-check
+// deadline it gets its own budget, like every other oracle stage.
 func (c *campaign) satDecide(p *program.Program, res mem.Result) sat.Decision {
 	if c.cfg.NoSatFast {
 		return sat.Decision{}
@@ -526,22 +477,15 @@ func isWeaklyOrdered(pol policy.Kind) bool {
 // classify decides whether a generated program obeys DRF0 by bounded
 // exhaustive check; budget (or deadline) overruns conservatively
 // classify as racy — coverage only, no violation oracle — with the
-// second return reporting a deadline skip. The verdict is memoized on
-// the canonical oracle entry — DRF0 is invariant under thread reordering
-// and address renaming, so canonically equal programs share one check.
-func (e *oracleEntry) classify(p *program.Program, cancel func() bool) (string, bool) {
-	e.classOnce.Do(func() {
-		cfg := boundedDRFConfig()
-		cfg.Enum.Cancel = cancel
-		v, err := drf.Check(p, hb.SyncAll, cfg)
-		if err != nil || !v.DRF {
-			e.class = ClassRacy
-			e.classSkipped = err != nil && errors.Is(err, ideal.ErrCanceled)
-			return
-		}
-		e.class = ClassDRF
-	})
-	return e.class, e.classSkipped
+// second return reporting a deadline skip.
+func classify(p *program.Program, cancel func() bool) (class string, skipped bool) {
+	cfg := boundedDRFConfig()
+	cfg.Enum.Cancel = cancel
+	v, err := drf.Check(p, hb.SyncAll, cfg)
+	if err != nil || !v.DRF {
+		return ClassRacy, errors.Is(err, ideal.ErrCanceled)
+	}
+	return ClassDRF, false
 }
 
 // report shrinks a violating program and assembles its ViolationReport,

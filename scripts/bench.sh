@@ -24,7 +24,7 @@ set -eu
 BENCHTIME=1x
 OUT=BENCH_oracle.json
 BASELINE=
-BENCHSET='BenchmarkCheckCampaign|BenchmarkFaultMatrix$|BenchmarkMachineReuse|BenchmarkMachineStep|BenchmarkIdealEnumerateDekker|BenchmarkIdealEnumeratePOR|BenchmarkSCMatchOracle|BenchmarkSatFastPath|BenchmarkDRF0CheckGenerated|BenchmarkAxiomSC'
+BENCHSET='BenchmarkCheckCampaign|BenchmarkFaultMatrix$|BenchmarkMachineReuse|BenchmarkMachineStep|BenchmarkIdealEnumerateDekker|BenchmarkIdealEnumeratePOR|BenchmarkSCMatchOracle|BenchmarkSatFastPath|BenchmarkDRF0CheckGenerated|BenchmarkAxiomSC|BenchmarkResultKey'
 
 while [ $# -gt 0 ]; do
     case "$1" in
