@@ -6,7 +6,7 @@ GO ?= go
 # idle machine for numbers worth comparing.
 BENCHTIME ?= 2s
 
-.PHONY: all build test short vet fmt bench
+.PHONY: all build test short race vet fmt bench
 
 all: build test
 
@@ -18,6 +18,15 @@ test:
 
 short:
 	$(GO) test -short ./...
+
+# race runs the race-detector steps of the CI test job, in CI order.
+race:
+	$(GO) test -race -short ./internal/check/
+	$(GO) test -race -run 'TestAxiomVsOperationalOracles' -count=1 ./internal/check/
+	$(GO) test -race -run 'TestSatFastVsEnumeration' -count=1 ./internal/check/
+	$(GO) test -race -short ./internal/faults/ ./internal/machine/
+	$(GO) test -race -count=1 -run 'TestPooledMachine|TestMachineReset' ./internal/machine/
+	$(GO) run -race ./cmd/wofuzz -seed 1 -n 4 -runs 1 -policies WO-Def2,SC -topos mesh -procs 64 -dirmode limited -q
 
 vet:
 	$(GO) vet ./...

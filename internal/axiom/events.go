@@ -57,15 +57,14 @@ type lval struct {
 	addr  mem.Addr
 }
 
-// errLocalBudget aborts run enumeration when a thread exceeds the local
-// step bound (a register-only infinite loop, mirroring ideal.Interp).
+// errLocalBudget aborts run enumeration when a thread exceeds
+// program.MaxLocalSteps (a register-only infinite loop, as in ideal.Interp).
 var errLocalBudget = errors.New("axiom: local step budget exceeded")
 
 // runEnumerator enumerates the complete runs of one thread.
 type runEnumerator struct {
 	instrs    []program.Instr
 	memBudget int // max dynamic memory ops per run (truncation bound)
-	maxLocal  int
 	maxRuns   int
 	dom       map[mem.Addr][]mem.Value
 
@@ -213,7 +212,7 @@ func (re *runEnumerator) exec(pins map[int]mem.Value) ([]event, *escape, error) 
 		}
 
 		local++
-		if local > re.maxLocal {
+		if local > program.MaxLocalSteps {
 			return nil, nil, errLocalBudget
 		}
 		switch in.Op {
@@ -304,7 +303,6 @@ func enumerateRuns(p *program.Program, dom map[mem.Addr][]mem.Value, cfg *Config
 		re := &runEnumerator{
 			instrs:    p.Threads[t].Instrs,
 			memBudget: cfg.MaxMemOpsPerThread,
-			maxLocal:  cfg.MaxLocalSteps,
 			maxRuns:   cfg.MaxRunsPerThread,
 			dom:       dom,
 		}

@@ -15,9 +15,17 @@ import (
 // program both sides can afford, with an aggregate floor on how many
 // comparisons actually completed.
 func TestAxiomVsOperationalOracles(t *testing.T) {
-	reg := metrics.NewRegistry()
+	// A metrics.Registry is not safe for concurrent use, so the litmus
+	// run and every parallel generator subtest count into their own.
+	noDisagreement := func(t *testing.T, reg *metrics.Registry) {
+		t.Helper()
+		if got := reg.Snapshot().Counters["axiom.diff.disagree"]; got != 0 {
+			t.Errorf("axiom.diff.disagree = %d, want 0", got)
+		}
+	}
 
 	t.Run("litmus", func(t *testing.T) {
+		reg := metrics.NewRegistry()
 		for _, p := range litmus.All() {
 			p := p
 			t.Run(p.Name, func(t *testing.T) {
@@ -41,6 +49,7 @@ func TestAxiomVsOperationalOracles(t *testing.T) {
 				}
 			})
 		}
+		noDisagreement(t, reg)
 	})
 
 	specs := generators()
@@ -57,6 +66,7 @@ func TestAxiomVsOperationalOracles(t *testing.T) {
 			si, spec := si, spec
 			t.Run(spec.name, func(t *testing.T) {
 				t.Parallel()
+				reg := metrics.NewRegistry()
 				for s := 0; s < perSpec; s++ {
 					p := spec.make(deriveSeed(0xd1ff, uint64(si), uint64(s)))
 					res, err := AxiomDiff(p, AxiomDiffConfig{Metrics: reg})
@@ -83,6 +93,7 @@ func TestAxiomVsOperationalOracles(t *testing.T) {
 							spec.name, s, res.AxiomRacy, res.OperRacy)
 					}
 				}
+				noDisagreement(t, reg)
 			})
 		}
 	})
@@ -94,8 +105,5 @@ func TestAxiomVsOperationalOracles(t *testing.T) {
 		if compared*2 < progs {
 			t.Errorf("too many skipped comparisons: %d of %d compared", compared, progs)
 		}
-	}
-	if got := reg.Snapshot().Counters["axiom.diff.disagree"]; got != 0 {
-		t.Errorf("axiom.diff.disagree = %d, want 0", got)
 	}
 }

@@ -142,10 +142,6 @@ type Config struct {
 	// MaxOutstandingWrites bounds writes issued to the memory system but
 	// not yet committed — the lockup-free write parallelism (default 4).
 	MaxOutstandingWrites int
-	// MaxLocalRun bounds consecutive local instructions per cycle slot
-	// (default 10000; a local infinite loop halts the simulation with an
-	// error via the machine's watchdog).
-	MaxLocalRun int
 	// Track, when non-nil, receives stall intervals as timeline spans
 	// ("stall:<reason>"). Recording is a no-op on nil and never perturbs
 	// execution.
@@ -327,9 +323,6 @@ func (p *Proc) Reset(cfg Config, thread program.Thread) {
 	if cfg.MaxOutstandingWrites == 0 {
 		cfg.MaxOutstandingWrites = 4
 	}
-	if cfg.MaxLocalRun == 0 {
-		cfg.MaxLocalRun = 10_000
-	}
 	p.cfg = cfg
 	p.thread = thread
 	p.pc = 0
@@ -490,11 +483,12 @@ func (p *Proc) emit(op mem.Op) {
 
 // step executes instructions until it consumes the cycle: one memory
 // dispatch, a stall, or a halt. Local register instructions execute for
-// free up to MaxLocalRun (the front end is not the bottleneck under
-// study; memory behavior is).
+// free up to program.MaxLocalSteps (the front end is not the bottleneck
+// under study; memory behavior is); a local infinite loop beyond that
+// halts the simulation with an error via the machine's watchdog.
 func (p *Proc) step() {
 	for local := 0; ; local++ {
-		if local > p.cfg.MaxLocalRun {
+		if local > program.MaxLocalSteps {
 			p.err = fmt.Errorf("cpu %d: local infinite loop at pc %d", p.cfg.ID, p.pc)
 			return
 		}
@@ -517,7 +511,8 @@ func (p *Proc) step() {
 			}
 			return // the fence consumes the cycle even when already drained
 		}
-		if halted := p.execLocal(in); halted {
+		var halted bool
+		if p.pc, halted = program.ExecLocal(&p.regs, in, p.pc); halted {
 			p.state = stHalted
 			p.stats.DoneAt = uint64(p.k.Now())
 			p.finalRegs = p.regs
@@ -525,58 +520,6 @@ func (p *Proc) step() {
 			return
 		}
 	}
-}
-
-// execLocal mirrors the idealized interpreter's local semantics.
-func (p *Proc) execLocal(in program.Instr) bool {
-	operand2 := func() mem.Value {
-		if in.UseImm {
-			return in.Imm
-		}
-		return p.regs[in.Rt]
-	}
-	switch in.Op {
-	case program.OpNop:
-	case program.OpLoadImm:
-		p.regs[in.Rd] = in.Imm
-	case program.OpMov:
-		p.regs[in.Rd] = p.regs[in.Rs]
-	case program.OpAdd:
-		p.regs[in.Rd] = p.regs[in.Rs] + p.regs[in.Rt]
-	case program.OpAddImm:
-		p.regs[in.Rd] = p.regs[in.Rs] + in.Imm
-	case program.OpSub:
-		p.regs[in.Rd] = p.regs[in.Rs] - p.regs[in.Rt]
-	case program.OpBeq:
-		if p.regs[in.Rs] == operand2() {
-			p.pc = in.Target
-			return false
-		}
-	case program.OpBne:
-		if p.regs[in.Rs] != operand2() {
-			p.pc = in.Target
-			return false
-		}
-	case program.OpBlt:
-		if p.regs[in.Rs] < operand2() {
-			p.pc = in.Target
-			return false
-		}
-	case program.OpBge:
-		if p.regs[in.Rs] >= operand2() {
-			p.pc = in.Target
-			return false
-		}
-	case program.OpJmp:
-		p.pc = in.Target
-		return false
-	case program.OpHalt:
-		return true
-	default:
-		panic(fmt.Sprintf("cpu: non-local opcode %v", in.Op))
-	}
-	p.pc++
-	return false
 }
 
 // opTemplate builds the trace record for the memory instruction at pc.
@@ -594,13 +537,6 @@ func (p *Proc) opTemplate(in program.Instr, kind mem.Kind) mem.Op {
 		p.stats.SyncOps++
 	}
 	return op
-}
-
-func (p *Proc) storeValue(in program.Instr) mem.Value {
-	if in.UseImm {
-		return in.Imm
-	}
-	return p.regs[in.Rs]
 }
 
 // dispatch handles the memory instruction at pc per the policy.
@@ -646,7 +582,7 @@ func (p *Proc) dispatchRead(in program.Instr) {
 }
 
 func (p *Proc) dispatchWrite(in program.Instr) {
-	val := p.storeValue(in)
+	val := program.StoreValue(in, &p.regs)
 	if p.cfg.Policy.PerAccessGlobal() {
 		op := p.opTemplate(in, mem.Write)
 		op.Data = val
@@ -706,11 +642,8 @@ func (p *Proc) issueSync(in program.Instr, kind mem.Kind, waitGlobal bool) {
 	op := p.opTemplate(in, kind)
 	p.pc++
 	var data mem.Value
-	switch in.Op {
-	case program.OpTAS:
-		data = 1
-	case program.OpSyncStore, program.OpSwap:
-		data = p.storeValue(in)
+	if kind.WritesMemory() {
+		data = program.StoreValue(in, &p.regs)
 	}
 	op.Data = data
 	r := p.newReq(reqSync, kind, in.Addr, data, waitGlobal)

@@ -203,7 +203,7 @@ func TestLocalInfiniteLoopDetected(t *testing.T) {
 	th.Jmp("top")
 	p := b.MustBuild()
 
-	it := New(p, Config{MaxLocalSteps: 100})
+	it := New(p, Config{})
 	if _, _, err := it.Step(0); err == nil {
 		t.Fatal("local infinite loop must be detected")
 	}

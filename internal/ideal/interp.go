@@ -23,29 +23,17 @@ import (
 
 // Config bounds interpretation so that buggy or adversarially scheduled
 // programs (e.g. spin loops under unfair interleavings) cannot run forever.
+// Register-only instructions are bounded by program.MaxLocalSteps per
+// Step call; exceeding it is an error (local infinite loop).
 type Config struct {
-	// MaxLocalSteps bounds the register-only instructions executed within
-	// one Step call; exceeding it is an error (local infinite loop).
-	// Zero means DefaultMaxLocalSteps.
-	MaxLocalSteps int
 	// MaxMemOpsPerThread bounds the dynamic memory operations a single
 	// thread may perform; exceeding it truncates the path (ErrTruncated).
 	// Zero means DefaultMaxMemOps.
 	MaxMemOpsPerThread int
 }
 
-// Defaults for Config fields.
-const (
-	DefaultMaxLocalSteps = 10_000
-	DefaultMaxMemOps     = 10_000
-)
-
-func (c Config) maxLocal() int {
-	if c.MaxLocalSteps > 0 {
-		return c.MaxLocalSteps
-	}
-	return DefaultMaxLocalSteps
-}
+// DefaultMaxMemOps is the default Config.MaxMemOpsPerThread.
+const DefaultMaxMemOps = 10_000
 
 func (c Config) maxMemOps() int {
 	if c.MaxMemOpsPerThread > 0 {
@@ -203,8 +191,8 @@ func (it *Interp) advance(tid int) error {
 	ts := &it.threads[tid]
 	instrs := it.prog.Threads[tid].Instrs
 	for local := 0; ; local++ {
-		if local > it.cfg.maxLocal() {
-			return fmt.Errorf("ideal: thread %d exceeded %d local steps (infinite local loop?)", tid, it.cfg.maxLocal())
+		if local > program.MaxLocalSteps {
+			return fmt.Errorf("ideal: thread %d exceeded %d local steps (infinite local loop?)", tid, program.MaxLocalSteps)
 		}
 		if ts.pc < 0 || ts.pc >= len(instrs) {
 			ts.halted = true
@@ -214,7 +202,8 @@ func (it *Interp) advance(tid int) error {
 		if in.Op.IsMemory() {
 			return nil
 		}
-		if halted := it.execLocal(ts, in); halted {
+		var halted bool
+		if ts.pc, halted = program.ExecLocal(&ts.regs, in, ts.pc); halted {
 			ts.halted = true
 			return nil
 		}
@@ -261,59 +250,6 @@ func (it *Interp) Step(tid int) (op mem.Op, ok bool, err error) {
 	return op, true, nil
 }
 
-// execLocal executes a non-memory instruction; it reports whether the
-// thread halted.
-func (it *Interp) execLocal(ts *threadState, in program.Instr) bool {
-	operand2 := func() mem.Value {
-		if in.UseImm {
-			return in.Imm
-		}
-		return ts.regs[in.Rt]
-	}
-	switch in.Op {
-	case program.OpNop, program.OpFence: // fences are no-ops under atomic, in-order execution
-	case program.OpLoadImm:
-		ts.regs[in.Rd] = in.Imm
-	case program.OpMov:
-		ts.regs[in.Rd] = ts.regs[in.Rs]
-	case program.OpAdd:
-		ts.regs[in.Rd] = ts.regs[in.Rs] + ts.regs[in.Rt]
-	case program.OpAddImm:
-		ts.regs[in.Rd] = ts.regs[in.Rs] + in.Imm
-	case program.OpSub:
-		ts.regs[in.Rd] = ts.regs[in.Rs] - ts.regs[in.Rt]
-	case program.OpBeq:
-		if ts.regs[in.Rs] == operand2() {
-			ts.pc = in.Target
-			return false
-		}
-	case program.OpBne:
-		if ts.regs[in.Rs] != operand2() {
-			ts.pc = in.Target
-			return false
-		}
-	case program.OpBlt:
-		if ts.regs[in.Rs] < operand2() {
-			ts.pc = in.Target
-			return false
-		}
-	case program.OpBge:
-		if ts.regs[in.Rs] >= operand2() {
-			ts.pc = in.Target
-			return false
-		}
-	case program.OpJmp:
-		ts.pc = in.Target
-		return false
-	case program.OpHalt:
-		return true
-	default:
-		panic(fmt.Sprintf("ideal: non-local opcode %v in execLocal", in.Op))
-	}
-	ts.pc++
-	return false
-}
-
 // execMem atomically executes a memory instruction against the idealized
 // memory and returns the resulting dynamic operation.
 func (it *Interp) execMem(tid int, ts *threadState, in program.Instr) mem.Op {
@@ -325,31 +261,17 @@ func (it *Interp) execMem(tid int, ts *threadState, in program.Instr) mem.Op {
 		Label: in.Sym,
 	}
 	ts.nextIx++
-	storeVal := func() mem.Value {
-		if in.UseImm {
-			return in.Imm
-		}
-		return ts.regs[in.Rs]
+	// The store value is taken before the read updates Rd, so
+	// swap rN, x, rN writes rN's old contents.
+	if op.Kind.ReadsMemory() {
+		op.Got = it.memory[in.Addr]
 	}
-	switch in.Op {
-	case program.OpLoad, program.OpSyncLoad:
-		op.Got = it.memory[in.Addr]
-		ts.regs[in.Rd] = op.Got
-	case program.OpStore, program.OpSyncStore:
-		op.Data = storeVal()
+	if op.Kind.WritesMemory() {
+		op.Data = program.StoreValue(in, &ts.regs)
 		it.memory[in.Addr] = op.Data
-	case program.OpTAS:
-		op.Got = it.memory[in.Addr]
-		op.Data = 1
+	}
+	if op.Kind.ReadsMemory() {
 		ts.regs[in.Rd] = op.Got
-		it.memory[in.Addr] = 1
-	case program.OpSwap:
-		op.Got = it.memory[in.Addr]
-		op.Data = storeVal()
-		ts.regs[in.Rd] = op.Got
-		it.memory[in.Addr] = op.Data
-	default:
-		panic(fmt.Sprintf("ideal: non-memory opcode %v in execMem", in.Op))
 	}
 	return op
 }

@@ -140,6 +140,10 @@ var (
 // Registration is idempotent per name; a histogram re-registered with a
 // different bucket layout panics (layouts are part of the metric's
 // identity).
+//
+// A Registry and its instruments are not safe for concurrent use:
+// registration and every update are unsynchronized, so goroutines
+// running in parallel need a Registry each.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge

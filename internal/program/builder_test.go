@@ -87,9 +87,23 @@ func TestBuilderFullInstructionSurface(t *testing.T) {
 }
 
 func TestInstrStringUnnamedAddress(t *testing.T) {
-	in := Instr{Op: OpLoad, Rd: R2, Addr: 7}
-	if got := in.String(); got != "ld r2, [7]" {
-		t.Errorf("String = %q", got)
+	for _, c := range []struct {
+		in   Instr
+		want string
+	}{
+		{Instr{Op: OpLoad, Rd: R2, Addr: 7}, "ld r2, [7]"},
+		// Stores and swaps write Rs, never Rt.
+		{Instr{Op: OpStore, Rs: R3, Addr: 7}, "st [7], r3"},
+		{Instr{Op: OpSyncStore, Rs: R3, Rt: R5, Addr: 7}, "sst [7], r3"},
+		{Instr{Op: OpStore, Imm: 4, UseImm: true, Addr: 7}, "st [7], #4"},
+		{Instr{Op: OpSwap, Rd: R1, Rs: R3, Addr: 7}, "swap r1, [7], r3"},
+		{Instr{Op: OpSwap, Rd: R1, Imm: 2, UseImm: true, Addr: 7}, "swap r1, [7], #2"},
+		{Instr{Op: OpBne, Rs: R1, Rt: R2, Target: 3}, "bne r1, r2, @3"},
+		{Instr{Op: OpBeq, Rs: R1, Imm: 5, UseImm: true, Target: 3}, "beq r1, #5, @3"},
+	} {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
 	}
 	bad := Instr{Op: Opcode(99)}
 	if !strings.Contains(bad.String(), "Opcode(99)") {

@@ -188,9 +188,12 @@ func (in Instr) String() string {
 	if loc == "" {
 		loc = fmt.Sprintf("[%d]", in.Addr)
 	}
-	src := in.Rt.String()
+	// Stores and swaps write Rs; branches compare Rs with Rt. Either
+	// way the second operand is Imm when UseImm.
+	val, op2 := in.Rs.String(), in.Rt.String()
 	if in.UseImm {
-		src = fmt.Sprintf("#%d", in.Imm)
+		val = fmt.Sprintf("#%d", in.Imm)
+		op2 = val
 	}
 	switch in.Op {
 	case OpNop, OpHalt, OpFence:
@@ -206,13 +209,13 @@ func (in Instr) String() string {
 	case OpLoad, OpSyncLoad:
 		return fmt.Sprintf("%v %v, %s", in.Op, in.Rd, loc)
 	case OpStore, OpSyncStore:
-		return fmt.Sprintf("%v %s, %s", in.Op, loc, src)
+		return fmt.Sprintf("%v %s, %s", in.Op, loc, val)
 	case OpTAS:
 		return fmt.Sprintf("tas %v, %s", in.Rd, loc)
 	case OpSwap:
-		return fmt.Sprintf("swap %v, %s, %s", in.Rd, loc, src)
+		return fmt.Sprintf("swap %v, %s, %s", in.Rd, loc, val)
 	case OpBeq, OpBne, OpBlt, OpBge:
-		return fmt.Sprintf("%v %v, %s, @%d", in.Op, in.Rs, src, in.Target)
+		return fmt.Sprintf("%v %v, %s, @%d", in.Op, in.Rs, op2, in.Target)
 	case OpJmp:
 		return fmt.Sprintf("jmp @%d", in.Target)
 	default:

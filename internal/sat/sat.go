@@ -100,8 +100,9 @@ const (
 	// ReasonTooLarge: the replayed result has more dynamic operations
 	// than Config.MaxEvents.
 	ReasonTooLarge = "too-large"
-	// ReasonReplayBudget: a thread's replay exceeded its local-step or
-	// operation budget (a runaway loop the observations cannot bound).
+	// ReasonReplayBudget: a thread's replay executed more than
+	// program.MaxLocalSteps instructions, memory operations included (a
+	// runaway loop the observations cannot bound).
 	ReasonReplayBudget = "replay-budget"
 	// ReasonCanceled: the cooperative cancel hook fired.
 	ReasonCanceled = "canceled"
@@ -127,11 +128,7 @@ type Config struct {
 // worst case is ~2·MaxEvents²/8 bytes of closure state).
 const DefaultMaxEvents = 1024
 
-// maxLocalSteps bounds register-only instructions between memory
-// operations during replay, mirroring ideal.DefaultMaxLocalSteps.
-const maxLocalSteps = 10_000
-
-// cancelPollMask: replay polls Cancel every 256 local steps, matching
+// cancelPollMask: replay polls Cancel every 256 steps, matching
 // the ideal/scmatch convention.
 const cancelPollMask = 255
 
@@ -180,22 +177,26 @@ func Decide(p *program.Program, res mem.Result, cfg Config) Decision {
 }
 
 // replay reconstructs the per-thread dynamic operation sequences the
-// result dictates. It mirrors the ideal interpreter's semantics exactly
-// (register zero-init, eager local execution, per-thread memory-op
-// indices counting every memory operation) but reads return observed
-// values instead of memory contents. ok is false when replay itself
-// decided (or fell back); the Decision is then meaningful.
+// result dictates. It runs the ideal interpreter's semantics
+// (program.ExecLocal and program.StoreValue, register zero-init, eager
+// local execution, per-thread memory-op indices counting every memory
+// operation) but reads return observed values instead of memory
+// contents. ok is false when replay itself decided (or fell back); the
+// Decision is then meaningful.
 func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, bool) {
 	events := make([]event, 1, 16) // slot 0 = init pseudo-write
 	events[0] = event{proc: mem.InitProc, kind: mem.Write}
 	consumed := 0
 	for tid := range p.Threads {
 		instrs := p.Threads[tid].Instrs
-		var regs [program.NumRegs]mem.Value
+		var regs program.RegFile
+		// steps counts every instruction the thread executes, memory
+		// operations included, and falls back once it passes
+		// program.MaxLocalSteps: a bound on the thread's whole replay.
 		pc, nextIx, steps := 0, 0, 0
 		for {
 			steps++
-			if steps > maxLocalSteps {
+			if steps > program.MaxLocalSteps {
 				return nil, Decision{Verdict: Fallback, Reason: ReasonReplayBudget}, false
 			}
 			if cfg.Cancel != nil && steps&cancelPollMask == 0 && cfg.Cancel() {
@@ -207,7 +208,7 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 			in := instrs[pc]
 			if !in.Op.IsMemory() {
 				var halted bool
-				pc, halted = stepLocal(&regs, in, pc)
+				pc, halted = program.ExecLocal(&regs, in, pc)
 				if halted {
 					break
 				}
@@ -227,19 +228,10 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 				ev.got = obs.Value
 			}
 			if ev.writes() {
-				// Store value before the read component updates Rd (the
-				// interpreter computes Swap's store value the same way, so
-				// swap rN, x, rN writes rN's pre-swap contents).
-				switch in.Op {
-				case program.OpTAS:
-					ev.data = 1
-				default:
-					if in.UseImm {
-						ev.data = in.Imm
-					} else {
-						ev.data = regs[in.Rs]
-					}
-				}
+				// Store value before the read component updates Rd, as in
+				// the interpreter: swap rN, x, rN writes rN's pre-swap
+				// contents.
+				ev.data = program.StoreValue(in, &regs)
 			}
 			if ev.reads() {
 				regs[in.Rd] = ev.got
@@ -255,51 +247,6 @@ func replay(p *program.Program, res mem.Result, cfg Config) ([]event, Decision, 
 		return nil, Decision{Verdict: Rejected, Reason: ReasonReplay}, false
 	}
 	return events, Decision{}, true
-}
-
-// stepLocal executes one register-only instruction, returning the next
-// pc and whether the thread halted. Semantics mirror ideal.execLocal.
-func stepLocal(regs *[program.NumRegs]mem.Value, in program.Instr, pc int) (int, bool) {
-	operand2 := func() mem.Value {
-		if in.UseImm {
-			return in.Imm
-		}
-		return regs[in.Rt]
-	}
-	switch in.Op {
-	case program.OpNop, program.OpFence:
-	case program.OpLoadImm:
-		regs[in.Rd] = in.Imm
-	case program.OpMov:
-		regs[in.Rd] = regs[in.Rs]
-	case program.OpAdd:
-		regs[in.Rd] = regs[in.Rs] + regs[in.Rt]
-	case program.OpAddImm:
-		regs[in.Rd] = regs[in.Rs] + in.Imm
-	case program.OpSub:
-		regs[in.Rd] = regs[in.Rs] - regs[in.Rt]
-	case program.OpBeq:
-		if regs[in.Rs] == operand2() {
-			return in.Target, false
-		}
-	case program.OpBne:
-		if regs[in.Rs] != operand2() {
-			return in.Target, false
-		}
-	case program.OpBlt:
-		if regs[in.Rs] < operand2() {
-			return in.Target, false
-		}
-	case program.OpBge:
-		if regs[in.Rs] >= operand2() {
-			return in.Target, false
-		}
-	case program.OpJmp:
-		return in.Target, false
-	case program.OpHalt:
-		return pc, true
-	}
-	return pc + 1, false
 }
 
 // saturator holds the event graph and its incremental transitive
