@@ -6,7 +6,7 @@ GO ?= go
 # idle machine for numbers worth comparing.
 BENCHTIME ?= 2s
 
-.PHONY: all build test short race vet fmt bench
+.PHONY: all build test short race fuzz vet fmt bench
 
 all: build test
 
@@ -27,6 +27,10 @@ race:
 	$(GO) test -race -short ./internal/faults/ ./internal/machine/
 	$(GO) test -race -count=1 -run 'TestPooledMachine|TestMachineReset' ./internal/machine/
 	$(GO) run -race ./cmd/wofuzz -seed 1 -n 4 -runs 1 -policies WO-Def2,SC -topos mesh -procs 64 -dirmode limited -q
+
+# fuzz runs the CI test job's bounded fuzz step.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/lang
 
 vet:
 	$(GO) vet ./...

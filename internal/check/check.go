@@ -44,6 +44,7 @@ import (
 	"weakorder/internal/program"
 	"weakorder/internal/scmatch"
 	"weakorder/internal/sim"
+	"weakorder/internal/splitmix"
 )
 
 // Program classes.
@@ -290,19 +291,13 @@ func Matrix(policies []policy.Kind, topos []machine.Topology) []machine.Config {
 	return out
 }
 
-// mix64 is splitmix64's finalizer: a cheap, well-distributed hash used
-// to derive independent deterministic seed streams from (Seed, indices).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
+// deriveSeed derives an independent deterministic seed from (campaign,
+// indices): each step is the first splitmix64 draw of a stream seeded
+// with the running hash xor the next index.
 func deriveSeed(campaign int64, parts ...uint64) int64 {
-	x := mix64(uint64(campaign))
+	x := splitmix.New(uint64(campaign)).Next()
 	for _, p := range parts {
-		x = mix64(x ^ p)
+		x = splitmix.New(x ^ p).Next()
 	}
 	return int64(x >> 1) // non-negative
 }

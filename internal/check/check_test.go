@@ -384,6 +384,24 @@ func TestShrinkDemotesSync(t *testing.T) {
 // depends on these exact values, so a change here invalidates every
 // recorded report.
 func TestDeriveSeedStable(t *testing.T) {
+	golden := []struct {
+		campaign int64
+		parts    []uint64
+		want     int64
+	}{
+		{1, []uint64{0, 0x67656e}, 6568687399120375203},
+		{1, []uint64{1, 0x67656e}, 1661898854338584238},
+		{7, []uint64{3}, 3879072848308665546},
+		{12345, []uint64{6, 7, 8}, 5153405959393610571},
+		{0, nil, 8147104208329303767},
+		{1<<63 - 1, []uint64{42}, 5796509856435883469},
+		{-5, []uint64{9}, 88573237949813488},
+	}
+	for _, g := range golden {
+		if got := deriveSeed(g.campaign, g.parts...); got != g.want {
+			t.Errorf("deriveSeed(%d, %v) = %d, want %d", g.campaign, g.parts, got, g.want)
+		}
+	}
 	if a, b := deriveSeed(1, 0, 0x67656e), deriveSeed(1, 0, 0x67656e); a != b {
 		t.Fatalf("deriveSeed not stable: %d != %d", a, b)
 	}

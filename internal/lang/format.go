@@ -22,6 +22,7 @@ import (
 // shrunk reproducers must replay against the same machine behavior.
 func Format(p *program.Program) string {
 	var b strings.Builder
+	var line []byte
 	fmt.Fprintf(&b, "program %s\n", p.Name)
 
 	if addrs := referencedAddrs(p); len(addrs) > 0 {
@@ -50,7 +51,12 @@ func Format(p *program.Program) string {
 			if labels[i] {
 				fmt.Fprintf(&b, "L%d:\n", i)
 			}
-			fmt.Fprintf(&b, "  %s\n", formatInstr(p, in))
+			loc := ""
+			if in.Op.IsMemory() {
+				loc = varName(p, in.Addr)
+			}
+			line = append(in.Render(append(line[:0], "  "...), loc, "L"), '\n')
+			b.Write(line)
 		}
 		if labels[len(t.Instrs)] {
 			fmt.Fprintf(&b, "L%d:\n  nop\n", len(t.Instrs))
@@ -95,60 +101,4 @@ func varName(p *program.Program, a mem.Addr) string {
 		return s
 	}
 	return fmt.Sprintf("v%d", a)
-}
-
-func formatInstr(p *program.Program, in program.Instr) string {
-	v := func() string { return varName(p, in.Addr) }
-	src := func() string {
-		if in.UseImm {
-			return fmt.Sprintf("#%d", in.Imm)
-		}
-		return in.Rs.String()
-	}
-	op2 := func() string {
-		if in.UseImm {
-			return fmt.Sprintf("#%d", in.Imm)
-		}
-		return in.Rt.String()
-	}
-	switch in.Op {
-	case program.OpNop:
-		return "nop"
-	case program.OpHalt:
-		return "halt"
-	case program.OpFence:
-		return "fence"
-	case program.OpLoadImm:
-		return fmt.Sprintf("li %v, #%d", in.Rd, in.Imm)
-	case program.OpMov:
-		return fmt.Sprintf("mov %v, %v", in.Rd, in.Rs)
-	case program.OpAdd:
-		return fmt.Sprintf("add %v, %v, %v", in.Rd, in.Rs, in.Rt)
-	case program.OpAddImm:
-		return fmt.Sprintf("addi %v, %v, #%d", in.Rd, in.Rs, in.Imm)
-	case program.OpSub:
-		return fmt.Sprintf("sub %v, %v, %v", in.Rd, in.Rs, in.Rt)
-	case program.OpLoad:
-		return fmt.Sprintf("ld %v, %s", in.Rd, v())
-	case program.OpSyncLoad:
-		return fmt.Sprintf("sld %v, %s", in.Rd, v())
-	case program.OpStore:
-		return fmt.Sprintf("st %s, %s", v(), src())
-	case program.OpSyncStore:
-		return fmt.Sprintf("sst %s, %s", v(), src())
-	case program.OpTAS:
-		return fmt.Sprintf("tas %v, %s", in.Rd, v())
-	case program.OpSwap:
-		return fmt.Sprintf("swap %v, %s, %s", in.Rd, v(), src())
-	case program.OpBeq, program.OpBne, program.OpBlt, program.OpBge:
-		name := map[program.Opcode]string{
-			program.OpBeq: "beq", program.OpBne: "bne",
-			program.OpBlt: "blt", program.OpBge: "bge",
-		}[in.Op]
-		return fmt.Sprintf("%s %v, %s, L%d", name, in.Rs, op2(), in.Target)
-	case program.OpJmp:
-		return fmt.Sprintf("jmp L%d", in.Target)
-	default:
-		return in.Op.String()
-	}
 }

@@ -28,9 +28,9 @@
 // Variables are named identifiers allocated on first use (or pinned by
 // init). Registers are r0..r15. Labels are identifiers followed by a
 // colon on their own line (or preceding an instruction). Immediates are
-// written #N. Instruction mnemonics match the disassembler in package
-// program: li, mov, add, addi, sub, ld, st, sld, sst, tas, swap, beq,
-// bne, blt, bge, jmp, nop, fence, halt.
+// written #N. Each instruction is a mnemonic followed by comma-separated
+// operands in the order its program.Syntax lists them; the disassembler
+// in package program writes the same table.
 package lang
 
 import (
@@ -167,7 +167,7 @@ func (p *parser) line(line string, n int) error {
 
 // operand categories.
 type operand struct {
-	kind byte // 'r' register, 'i' immediate, 'v' variable, 'l' label
+	kind byte // 'r' register, 'i' immediate, 'v' identifier (a variable or a label)
 	reg  program.Reg
 	imm  mem.Value
 	name string
@@ -214,181 +214,46 @@ func (p *parser) operands(rest string, n int, want int) ([]operand, error) {
 	return out, nil
 }
 
+// instr parses one instruction against its opcode's Syntax: the
+// operand count must match the slots, and each operand's kind its slot.
 func (p *parser) instr(line string, n int) error {
 	mnemonic, rest := line, ""
 	if idx := strings.IndexAny(line, " \t"); idx >= 0 {
 		mnemonic, rest = line[:idx], line[idx+1:]
 	}
-	th := p.th
-	b := p.builder()
-	bad := func(msg string) error { return &ParseError{Line: n, Msg: msg + " in " + strconv.Quote(line)} }
-
-	need := func(want int) ([]operand, error) { return p.operands(rest, n, want) }
-
-	switch mnemonic {
-	case "nop":
-		if _, err := need(0); err != nil {
-			return err
-		}
-		th.Nop()
-	case "fence":
-		if _, err := need(0); err != nil {
-			return err
-		}
-		th.Fence()
-	case "halt":
-		if _, err := need(0); err != nil {
-			return err
-		}
-		th.Halt()
-	case "li":
-		ops, err := need(2)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'r' || ops[1].kind != 'i' {
-			return bad("li wants rD, #imm")
-		}
-		th.LoadImm(ops[0].reg, ops[1].imm)
-	case "mov":
-		ops, err := need(2)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'r' || ops[1].kind != 'r' {
-			return bad("mov wants rD, rS")
-		}
-		th.Mov(ops[0].reg, ops[1].reg)
-	case "add", "sub":
-		ops, err := need(3)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'r' || ops[1].kind != 'r' || ops[2].kind != 'r' {
-			return bad(mnemonic + " wants rD, rS, rT")
-		}
-		if mnemonic == "add" {
-			th.Add(ops[0].reg, ops[1].reg, ops[2].reg)
-		} else {
-			th.Sub(ops[0].reg, ops[1].reg, ops[2].reg)
-		}
-	case "addi":
-		ops, err := need(3)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'r' || ops[1].kind != 'r' || ops[2].kind != 'i' {
-			return bad("addi wants rD, rS, #imm")
-		}
-		th.AddImm(ops[0].reg, ops[1].reg, ops[2].imm)
-	case "ld", "sld":
-		ops, err := need(2)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'r' || ops[1].kind != 'v' {
-			return bad(mnemonic + " wants rD, var")
-		}
-		addr := b.Var(ops[1].name)
-		if mnemonic == "ld" {
-			th.Load(ops[0].reg, addr)
-		} else {
-			th.SyncLoad(ops[0].reg, addr)
-		}
-	case "st", "sst":
-		ops, err := need(2)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'v' {
-			return bad(mnemonic + " wants var, rS|#imm")
-		}
-		addr := b.Var(ops[0].name)
-		switch {
-		case ops[1].kind == 'r' && mnemonic == "st":
-			th.Store(addr, ops[1].reg)
-		case ops[1].kind == 'i' && mnemonic == "st":
-			th.StoreImm(addr, ops[1].imm)
-		case ops[1].kind == 'r':
-			th.SyncStore(addr, ops[1].reg)
-		case ops[1].kind == 'i':
-			th.SyncStoreImm(addr, ops[1].imm)
-		default:
-			return bad(mnemonic + " wants var, rS|#imm")
-		}
-	case "tas":
-		ops, err := need(2)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'r' || ops[1].kind != 'v' {
-			return bad("tas wants rD, var")
-		}
-		th.TAS(ops[0].reg, b.Var(ops[1].name))
-	case "swap":
-		ops, err := need(3)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'r' || ops[1].kind != 'v' {
-			return bad("swap wants rD, var, rS|#imm")
-		}
-		addr := b.Var(ops[1].name)
-		switch ops[2].kind {
-		case 'r':
-			th.Swap(ops[0].reg, addr, ops[2].reg)
-		case 'i':
-			th.SwapImm(ops[0].reg, addr, ops[2].imm)
-		default:
-			return bad("swap wants rD, var, rS|#imm")
-		}
-	case "beq", "bne", "blt", "bge":
-		ops, err := need(3)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'r' || ops[2].kind != 'v' {
-			return bad(mnemonic + " wants rS, rT|#imm, label")
-		}
-		label := ops[2].name
-		switch {
-		case ops[1].kind == 'r':
-			switch mnemonic {
-			case "beq":
-				th.Beq(ops[0].reg, ops[1].reg, label)
-			case "bne":
-				th.Bne(ops[0].reg, ops[1].reg, label)
-			case "blt":
-				th.Blt(ops[0].reg, ops[1].reg, label)
-			case "bge":
-				th.Bge(ops[0].reg, ops[1].reg, label)
-			}
-		case ops[1].kind == 'i':
-			switch mnemonic {
-			case "beq":
-				th.BeqImm(ops[0].reg, ops[1].imm, label)
-			case "bne":
-				th.BneImm(ops[0].reg, ops[1].imm, label)
-			case "blt":
-				th.BltImm(ops[0].reg, ops[1].imm, label)
-			case "bge":
-				th.BgeImm(ops[0].reg, ops[1].imm, label)
-			}
-		default:
-			return bad(mnemonic + " wants rS, rT|#imm, label")
-		}
-	case "jmp":
-		ops, err := need(1)
-		if err != nil {
-			return err
-		}
-		if ops[0].kind != 'v' {
-			return bad("jmp wants label")
-		}
-		th.Jmp(ops[0].name)
-	default:
+	op, ok := program.OpcodeNamed(mnemonic)
+	if !ok {
 		return &ParseError{Line: n, Msg: fmt.Sprintf("unknown mnemonic %q", mnemonic)}
 	}
+	syn, _ := op.Syntax()
+	ops, err := p.operands(rest, n, len(syn.Slots))
+	if err != nil {
+		return err
+	}
+	in, label := program.Instr{Op: op}, ""
+	for i, o := range ops {
+		switch s := syn.Slots[i]; {
+		case o.kind == 'r' && s == program.SlotRd:
+			in.Rd = o.reg
+		case o.kind == 'r' && (s == program.SlotRs || s == program.SlotRsImm):
+			in.Rs = o.reg
+		case o.kind == 'r' && (s == program.SlotRt || s == program.SlotRtImm):
+			in.Rt = o.reg
+		case o.kind == 'i' && (s == program.SlotImm || s == program.SlotRsImm || s == program.SlotRtImm):
+			in.Imm, in.UseImm = o.imm, s != program.SlotImm
+		case o.kind == 'v' && s == program.SlotVar:
+			in.Addr = p.builder().Var(o.name)
+		case o.kind == 'v' && s == program.SlotLabel:
+			label = o.name
+		default:
+			shape := make([]string, len(syn.Slots))
+			for j, s := range syn.Slots {
+				shape[j] = s.String()
+			}
+			return &ParseError{Line: n, Msg: mnemonic + " wants " + strings.Join(shape, ", ") + " in " + strconv.Quote(line)}
+		}
+	}
+	p.th.Emit(in, label)
 	return nil
 }
 

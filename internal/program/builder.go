@@ -162,7 +162,12 @@ func (t *ThreadBuilder) Name() string { return t.name }
 // Len returns the number of instructions emitted so far.
 func (t *ThreadBuilder) Len() int { return len(t.instrs) }
 
-func (t *ThreadBuilder) emit(in Instr) *ThreadBuilder {
+// Emit appends any instruction. For a branch opcode, label names its
+// target, resolved at Build time; other opcodes ignore label.
+func (t *ThreadBuilder) Emit(in Instr, label string) *ThreadBuilder {
+	if in.Op.IsBranch() {
+		t.patches = append(t.patches, patch{instr: len(t.instrs), label: label})
+	}
 	if in.Sym == "" && in.Op.IsMemory() {
 		in.Sym = t.parent.symbolFor(in.Addr)
 	}
@@ -180,139 +185,133 @@ func (t *ThreadBuilder) Label(name string) *ThreadBuilder {
 	return t
 }
 
-func (t *ThreadBuilder) branch(op Opcode, rs Reg, rt Reg, imm mem.Value, useImm bool, label string) *ThreadBuilder {
-	t.patches = append(t.patches, patch{instr: len(t.instrs), label: label})
-	return t.emit(Instr{Op: op, Rs: rs, Rt: rt, Imm: imm, UseImm: useImm})
-}
-
 // Nop emits a no-op.
-func (t *ThreadBuilder) Nop() *ThreadBuilder { return t.emit(Instr{Op: OpNop}) }
+func (t *ThreadBuilder) Nop() *ThreadBuilder { return t.Emit(Instr{Op: OpNop}, "") }
 
 // LoadImm emits rd <- imm.
 func (t *ThreadBuilder) LoadImm(rd Reg, imm mem.Value) *ThreadBuilder {
-	return t.emit(Instr{Op: OpLoadImm, Rd: rd, Imm: imm})
+	return t.Emit(Instr{Op: OpLoadImm, Rd: rd, Imm: imm}, "")
 }
 
 // Mov emits rd <- rs.
 func (t *ThreadBuilder) Mov(rd, rs Reg) *ThreadBuilder {
-	return t.emit(Instr{Op: OpMov, Rd: rd, Rs: rs})
+	return t.Emit(Instr{Op: OpMov, Rd: rd, Rs: rs}, "")
 }
 
 // Add emits rd <- rs + rt.
 func (t *ThreadBuilder) Add(rd, rs, rt Reg) *ThreadBuilder {
-	return t.emit(Instr{Op: OpAdd, Rd: rd, Rs: rs, Rt: rt})
+	return t.Emit(Instr{Op: OpAdd, Rd: rd, Rs: rs, Rt: rt}, "")
 }
 
 // AddImm emits rd <- rs + imm.
 func (t *ThreadBuilder) AddImm(rd, rs Reg, imm mem.Value) *ThreadBuilder {
-	return t.emit(Instr{Op: OpAddImm, Rd: rd, Rs: rs, Imm: imm})
+	return t.Emit(Instr{Op: OpAddImm, Rd: rd, Rs: rs, Imm: imm}, "")
 }
 
 // Sub emits rd <- rs - rt.
 func (t *ThreadBuilder) Sub(rd, rs, rt Reg) *ThreadBuilder {
-	return t.emit(Instr{Op: OpSub, Rd: rd, Rs: rs, Rt: rt})
+	return t.Emit(Instr{Op: OpSub, Rd: rd, Rs: rs, Rt: rt}, "")
 }
 
 // Load emits a data read of addr into rd.
 func (t *ThreadBuilder) Load(rd Reg, addr mem.Addr) *ThreadBuilder {
-	return t.emit(Instr{Op: OpLoad, Rd: rd, Addr: addr})
+	return t.Emit(Instr{Op: OpLoad, Rd: rd, Addr: addr}, "")
 }
 
 // Store emits a data write of rs to addr.
 func (t *ThreadBuilder) Store(addr mem.Addr, rs Reg) *ThreadBuilder {
-	return t.emit(Instr{Op: OpStore, Rs: rs, Addr: addr})
+	return t.Emit(Instr{Op: OpStore, Rs: rs, Addr: addr}, "")
 }
 
 // StoreImm emits a data write of imm to addr.
 func (t *ThreadBuilder) StoreImm(addr mem.Addr, imm mem.Value) *ThreadBuilder {
-	return t.emit(Instr{Op: OpStore, Imm: imm, UseImm: true, Addr: addr})
+	return t.Emit(Instr{Op: OpStore, Imm: imm, UseImm: true, Addr: addr}, "")
 }
 
 // SyncLoad emits a read-only synchronization operation (Test) of addr
 // into rd.
 func (t *ThreadBuilder) SyncLoad(rd Reg, addr mem.Addr) *ThreadBuilder {
-	return t.emit(Instr{Op: OpSyncLoad, Rd: rd, Addr: addr})
+	return t.Emit(Instr{Op: OpSyncLoad, Rd: rd, Addr: addr}, "")
 }
 
 // SyncStore emits a write-only synchronization operation writing rs.
 func (t *ThreadBuilder) SyncStore(addr mem.Addr, rs Reg) *ThreadBuilder {
-	return t.emit(Instr{Op: OpSyncStore, Rs: rs, Addr: addr})
+	return t.Emit(Instr{Op: OpSyncStore, Rs: rs, Addr: addr}, "")
 }
 
 // SyncStoreImm emits a write-only synchronization operation writing imm
 // (Set when imm != 0, Unset when imm == 0).
 func (t *ThreadBuilder) SyncStoreImm(addr mem.Addr, imm mem.Value) *ThreadBuilder {
-	return t.emit(Instr{Op: OpSyncStore, Imm: imm, UseImm: true, Addr: addr})
+	return t.Emit(Instr{Op: OpSyncStore, Imm: imm, UseImm: true, Addr: addr}, "")
 }
 
 // TAS emits a TestAndSet: rd <- M[addr]; M[addr] <- 1 atomically.
 func (t *ThreadBuilder) TAS(rd Reg, addr mem.Addr) *ThreadBuilder {
-	return t.emit(Instr{Op: OpTAS, Rd: rd, Addr: addr})
+	return t.Emit(Instr{Op: OpTAS, Rd: rd, Addr: addr}, "")
 }
 
 // Swap emits a general atomic read-modify-write: rd <- M[addr];
 // M[addr] <- rs.
 func (t *ThreadBuilder) Swap(rd Reg, addr mem.Addr, rs Reg) *ThreadBuilder {
-	return t.emit(Instr{Op: OpSwap, Rd: rd, Addr: addr, Rs: rs})
+	return t.Emit(Instr{Op: OpSwap, Rd: rd, Addr: addr, Rs: rs}, "")
 }
 
 // SwapImm emits rd <- M[addr]; M[addr] <- imm atomically.
 func (t *ThreadBuilder) SwapImm(rd Reg, addr mem.Addr, imm mem.Value) *ThreadBuilder {
-	return t.emit(Instr{Op: OpSwap, Rd: rd, Addr: addr, Imm: imm, UseImm: true})
+	return t.Emit(Instr{Op: OpSwap, Rd: rd, Addr: addr, Imm: imm, UseImm: true}, "")
 }
 
 // Beq emits: branch to label when rs == rt.
 func (t *ThreadBuilder) Beq(rs, rt Reg, label string) *ThreadBuilder {
-	return t.branch(OpBeq, rs, rt, 0, false, label)
+	return t.Emit(Instr{Op: OpBeq, Rs: rs, Rt: rt}, label)
 }
 
 // BeqImm emits: branch to label when rs == imm.
 func (t *ThreadBuilder) BeqImm(rs Reg, imm mem.Value, label string) *ThreadBuilder {
-	return t.branch(OpBeq, rs, 0, imm, true, label)
+	return t.Emit(Instr{Op: OpBeq, Rs: rs, Imm: imm, UseImm: true}, label)
 }
 
 // Bne emits: branch to label when rs != rt.
 func (t *ThreadBuilder) Bne(rs, rt Reg, label string) *ThreadBuilder {
-	return t.branch(OpBne, rs, rt, 0, false, label)
+	return t.Emit(Instr{Op: OpBne, Rs: rs, Rt: rt}, label)
 }
 
 // BneImm emits: branch to label when rs != imm.
 func (t *ThreadBuilder) BneImm(rs Reg, imm mem.Value, label string) *ThreadBuilder {
-	return t.branch(OpBne, rs, 0, imm, true, label)
+	return t.Emit(Instr{Op: OpBne, Rs: rs, Imm: imm, UseImm: true}, label)
 }
 
 // Blt emits: branch to label when rs < rt.
 func (t *ThreadBuilder) Blt(rs, rt Reg, label string) *ThreadBuilder {
-	return t.branch(OpBlt, rs, rt, 0, false, label)
+	return t.Emit(Instr{Op: OpBlt, Rs: rs, Rt: rt}, label)
 }
 
 // BltImm emits: branch to label when rs < imm.
 func (t *ThreadBuilder) BltImm(rs Reg, imm mem.Value, label string) *ThreadBuilder {
-	return t.branch(OpBlt, rs, 0, imm, true, label)
+	return t.Emit(Instr{Op: OpBlt, Rs: rs, Imm: imm, UseImm: true}, label)
 }
 
 // Bge emits: branch to label when rs >= rt.
 func (t *ThreadBuilder) Bge(rs, rt Reg, label string) *ThreadBuilder {
-	return t.branch(OpBge, rs, rt, 0, false, label)
+	return t.Emit(Instr{Op: OpBge, Rs: rs, Rt: rt}, label)
 }
 
 // BgeImm emits: branch to label when rs >= imm.
 func (t *ThreadBuilder) BgeImm(rs Reg, imm mem.Value, label string) *ThreadBuilder {
-	return t.branch(OpBge, rs, 0, imm, true, label)
+	return t.Emit(Instr{Op: OpBge, Rs: rs, Imm: imm, UseImm: true}, label)
 }
 
 // Jmp emits an unconditional branch to label.
 func (t *ThreadBuilder) Jmp(label string) *ThreadBuilder {
-	t.patches = append(t.patches, patch{instr: len(t.instrs), label: label})
-	return t.emit(Instr{Op: OpJmp})
+	return t.Emit(Instr{Op: OpJmp}, label)
 }
 
 // Halt terminates the thread.
-func (t *ThreadBuilder) Halt() *ThreadBuilder { return t.emit(Instr{Op: OpHalt}) }
+func (t *ThreadBuilder) Halt() *ThreadBuilder { return t.Emit(Instr{Op: OpHalt}, "") }
 
 // Fence emits an RP3-style fence: the processor waits for all previous
 // accesses to be globally performed before issuing any further access.
-func (t *ThreadBuilder) Fence() *ThreadBuilder { return t.emit(Instr{Op: OpFence}) }
+func (t *ThreadBuilder) Fence() *ThreadBuilder { return t.Emit(Instr{Op: OpFence}, "") }
 
 func (t *ThreadBuilder) finish() (Thread, error) {
 	instrs := make([]Instr, len(t.instrs))

@@ -12,6 +12,7 @@ package program
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"weakorder/internal/mem"
@@ -44,7 +45,9 @@ const (
 )
 
 // String formats the register like "r3".
-func (r Reg) String() string { return fmt.Sprintf("r%d", uint8(r)) }
+func (r Reg) String() string { return string(r.append(nil)) }
+
+func (r Reg) append(dst []byte) []byte { return strconv.AppendUint(append(dst, 'r'), uint64(r), 10) }
 
 // Opcode enumerates the instruction set.
 type Opcode uint8
@@ -102,32 +105,84 @@ const (
 	OpFence
 )
 
-var opcodeNames = map[Opcode]string{
-	OpNop:       "nop",
-	OpLoadImm:   "li",
-	OpMov:       "mov",
-	OpAdd:       "add",
-	OpAddImm:    "addi",
-	OpSub:       "sub",
-	OpLoad:      "ld",
-	OpStore:     "st",
-	OpSyncLoad:  "sld",
-	OpSyncStore: "sst",
-	OpTAS:       "tas",
-	OpSwap:      "swap",
-	OpBeq:       "beq",
-	OpBne:       "bne",
-	OpBlt:       "blt",
-	OpBge:       "bge",
-	OpJmp:       "jmp",
-	OpHalt:      "halt",
-	OpFence:     "fence",
+// Slot is one operand position in an instruction's written form.
+type Slot uint8
+
+// Operand slots, named as the litmus syntax writes them.
+const (
+	SlotRd    Slot = iota // rD: Rd
+	SlotRs                // rS: Rs
+	SlotRt                // rT: Rt
+	SlotImm               // #imm: Imm
+	SlotVar               // var: the memory location Addr
+	SlotRsImm             // rS|#imm: Imm when UseImm, else Rs
+	SlotRtImm             // rT|#imm: Imm when UseImm, else Rt
+	SlotLabel             // label: the branch Target
+)
+
+var slotNames = [...]string{"rD", "rS", "rT", "#imm", "var", "rS|#imm", "rT|#imm", "label"}
+
+// String returns the slot's written shape, such as "rS|#imm".
+func (s Slot) String() string { return slotNames[s] }
+
+// Syntax is an opcode's written form: its mnemonic and its operand
+// slots in order.
+type Syntax struct {
+	Mnemonic string
+	Slots    []Slot
+}
+
+// syntaxes is the instruction set's one written form. The disassembler,
+// the litmus formatter and the litmus parser all walk it.
+var syntaxes = [...]Syntax{
+	OpNop:       {"nop", nil},
+	OpLoadImm:   {"li", []Slot{SlotRd, SlotImm}},
+	OpMov:       {"mov", []Slot{SlotRd, SlotRs}},
+	OpAdd:       {"add", []Slot{SlotRd, SlotRs, SlotRt}},
+	OpAddImm:    {"addi", []Slot{SlotRd, SlotRs, SlotImm}},
+	OpSub:       {"sub", []Slot{SlotRd, SlotRs, SlotRt}},
+	OpLoad:      {"ld", []Slot{SlotRd, SlotVar}},
+	OpStore:     {"st", []Slot{SlotVar, SlotRsImm}},
+	OpSyncLoad:  {"sld", []Slot{SlotRd, SlotVar}},
+	OpSyncStore: {"sst", []Slot{SlotVar, SlotRsImm}},
+	OpTAS:       {"tas", []Slot{SlotRd, SlotVar}},
+	OpSwap:      {"swap", []Slot{SlotRd, SlotVar, SlotRsImm}},
+	OpBeq:       {"beq", []Slot{SlotRs, SlotRtImm, SlotLabel}},
+	OpBne:       {"bne", []Slot{SlotRs, SlotRtImm, SlotLabel}},
+	OpBlt:       {"blt", []Slot{SlotRs, SlotRtImm, SlotLabel}},
+	OpBge:       {"bge", []Slot{SlotRs, SlotRtImm, SlotLabel}},
+	OpJmp:       {"jmp", []Slot{SlotLabel}},
+	OpHalt:      {"halt", nil},
+	OpFence:     {"fence", nil},
+}
+
+var byMnemonic = func() map[string]Opcode {
+	m := make(map[string]Opcode, len(syntaxes))
+	for o, s := range syntaxes {
+		m[s.Mnemonic] = Opcode(o)
+	}
+	return m
+}()
+
+// Syntax returns the opcode's written form; ok is false for an unknown
+// opcode.
+func (o Opcode) Syntax() (s Syntax, ok bool) {
+	if int(o) < len(syntaxes) {
+		return syntaxes[o], true
+	}
+	return Syntax{}, false
+}
+
+// OpcodeNamed returns the opcode written as mnemonic.
+func OpcodeNamed(mnemonic string) (Opcode, bool) {
+	o, ok := byMnemonic[mnemonic]
+	return o, ok
 }
 
 // String returns the assembler mnemonic.
 func (o Opcode) String() string {
-	if s, ok := opcodeNames[o]; ok {
-		return s
+	if s, ok := o.Syntax(); ok {
+		return s.Mnemonic
 	}
 	return fmt.Sprintf("Opcode(%d)", uint8(o))
 }
@@ -182,45 +237,50 @@ type Instr struct {
 	Target int       // branch target: instruction index within the thread
 }
 
-// String disassembles the instruction.
+// String disassembles the instruction: the location is Sym, or [Addr]
+// when unnamed, and a branch target is written @index.
 func (in Instr) String() string {
 	loc := in.Sym
 	if loc == "" {
 		loc = fmt.Sprintf("[%d]", in.Addr)
 	}
-	// Stores and swaps write Rs; branches compare Rs with Rt. Either
-	// way the second operand is Imm when UseImm.
-	val, op2 := in.Rs.String(), in.Rt.String()
-	if in.UseImm {
-		val = fmt.Sprintf("#%d", in.Imm)
-		op2 = val
+	return string(in.Render(nil, loc, "@"))
+}
+
+// Render appends the instruction's text to dst by walking its Syntax:
+// the mnemonic, then one operand per slot. loc is written for the var
+// slot, and label followed by Target for the label slot.
+func (in Instr) Render(dst []byte, loc, label string) []byte {
+	syn, ok := in.Op.Syntax()
+	if !ok {
+		return append(dst, in.Op.String()...)
 	}
-	switch in.Op {
-	case OpNop, OpHalt, OpFence:
-		return in.Op.String()
-	case OpLoadImm:
-		return fmt.Sprintf("li %v, #%d", in.Rd, in.Imm)
-	case OpMov:
-		return fmt.Sprintf("mov %v, %v", in.Rd, in.Rs)
-	case OpAdd, OpSub:
-		return fmt.Sprintf("%v %v, %v, %v", in.Op, in.Rd, in.Rs, in.Rt)
-	case OpAddImm:
-		return fmt.Sprintf("addi %v, %v, #%d", in.Rd, in.Rs, in.Imm)
-	case OpLoad, OpSyncLoad:
-		return fmt.Sprintf("%v %v, %s", in.Op, in.Rd, loc)
-	case OpStore, OpSyncStore:
-		return fmt.Sprintf("%v %s, %s", in.Op, loc, val)
-	case OpTAS:
-		return fmt.Sprintf("tas %v, %s", in.Rd, loc)
-	case OpSwap:
-		return fmt.Sprintf("swap %v, %s, %s", in.Rd, loc, val)
-	case OpBeq, OpBne, OpBlt, OpBge:
-		return fmt.Sprintf("%v %v, %s, @%d", in.Op, in.Rs, op2, in.Target)
-	case OpJmp:
-		return fmt.Sprintf("jmp @%d", in.Target)
-	default:
-		return in.Op.String()
+	dst = append(dst, syn.Mnemonic...)
+	for i, s := range syn.Slots {
+		if i == 0 {
+			dst = append(dst, ' ')
+		} else {
+			dst = append(dst, ", "...)
+		}
+		if in.UseImm && (s == SlotRsImm || s == SlotRtImm) {
+			s = SlotImm
+		}
+		switch s {
+		case SlotRd:
+			dst = in.Rd.append(dst)
+		case SlotRs, SlotRsImm:
+			dst = in.Rs.append(dst)
+		case SlotRt, SlotRtImm:
+			dst = in.Rt.append(dst)
+		case SlotImm:
+			dst = strconv.AppendInt(append(dst, '#'), int64(in.Imm), 10)
+		case SlotVar:
+			dst = append(dst, loc...)
+		case SlotLabel:
+			dst = strconv.AppendInt(append(dst, label...), int64(in.Target), 10)
+		}
 	}
+	return dst
 }
 
 // Thread is one sequential instruction stream.
@@ -361,11 +421,7 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("%s: branch target %d out of range [0,%d]", where(), in.Target, len(t.Instrs))
 				}
 			}
-			switch in.Op {
-			case OpNop, OpLoadImm, OpMov, OpAdd, OpAddImm, OpSub, OpLoad, OpStore,
-				OpSyncLoad, OpSyncStore, OpTAS, OpSwap, OpBeq, OpBne, OpBlt, OpBge,
-				OpJmp, OpHalt, OpFence:
-			default:
+			if _, ok := in.Op.Syntax(); !ok {
 				return fmt.Errorf("%s: unknown opcode %d", where(), in.Op)
 			}
 		}
