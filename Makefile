@@ -1,12 +1,16 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml); keep them in sync.
+# .github/workflows/ci.yml); keep them in sync. `make lines` is not a CI
+# step: it reports the non-test Go lines a change adds and removes
+# (`make lines BASE=<commit>`), the figure CHANGES.md records.
 
 GO ?= go
 # Benchmark duration for `make bench`. CI smokes with 1x; use 2s+ on an
 # idle machine for numbers worth comparing.
 BENCHTIME ?= 2s
+# Commit `make lines` compares the working tree against.
+BASE ?= HEAD
 
-.PHONY: all build test short race fuzz vet fmt bench
+.PHONY: all build test short race fuzz vet fmt bench lines
 
 all: build test
 
@@ -47,3 +51,12 @@ fmt:
 #   scripts/bench.sh -benchtime $(BENCHTIME) -baseline /tmp/baseline.json -o BENCH_oracle.json
 bench:
 	scripts/bench.sh -benchtime $(BENCHTIME) -o BENCH_oracle.json
+
+# lines prints the non-test Go lines added, removed and net between
+# $(BASE) and the working tree: tracked changes from git diff --numstat,
+# plus every line of untracked (not ignored) new files.
+lines:
+	@{ git diff --numstat $(BASE) -- '*.go' ':!*_test.go'; \
+	  git ls-files -z -o --exclude-standard -- '*.go' ':!*_test.go' | \
+	  xargs -0 -r awk 'END { print NR "\t0" }'; } | \
+	awk '{ a += $$1; r += $$2 } END { printf "non-test Go lines: +%d -%d net %+d\n", a, r, a - r }'

@@ -164,13 +164,6 @@ type DirConfig struct {
 	// Coarseness is the processors-per-group size for DirCoarseVector
 	// (default 8).
 	Coarseness int
-	// NoDedup disables the per-line served-transaction set. Duplicate
-	// request-class messages only exist when the interconnect is faulted
-	// or cache retries are armed; a machine that runs with neither can
-	// skip the bookkeeping, keeping the steady-state request path free of
-	// map inserts (and thus allocation-free).
-	NoDedup bool
-
 	// Telemetry (optional; see internal/metrics). Never alters protocol
 	// behavior.
 
@@ -206,6 +199,9 @@ type Directory struct {
 	k   *sim.Kernel
 	net network.Network
 	cfg DirConfig
+	// noDedup disables the per-line served-transaction set for the run
+	// (see Reset).
+	noDedup bool
 	// lineIdx is the dense addr → arena-index+1 table (0 = no line).
 	// Program addresses are allocated densely from zero by
 	// program.Builder, so the table stays small and lookup is a slice
@@ -270,11 +266,6 @@ func NewDirectory(k *sim.Kernel, net network.Network, cfg DirConfig) *Directory 
 	return d
 }
 
-// SetNoDedup flips duplicate-request tracking for the next run. A pooled
-// machine re-derives it on Reset: retry arming is a per-run knob, and a
-// retry-armed run must dedup while a clean run may skip the bookkeeping.
-func (d *Directory) SetNoDedup(v bool) { d.cfg.NoDedup = v }
-
 // groups returns the presence-vector width for DirCoarseVector.
 func (d *Directory) groups() int {
 	return (d.cfg.NumProcs + d.cfg.Coarseness - 1) / d.cfg.Coarseness
@@ -285,7 +276,14 @@ func (d *Directory) groups() int {
 // and pooled reply tasks are retained. The caller guarantees the kernel
 // is drained (no replies in flight) and that the processor count is
 // unchanged (arena bitsets are sized for it).
-func (d *Directory) Reset() {
+//
+// noDedup disables the per-line served-transaction set for the run.
+// Duplicate request-class messages only exist when the interconnect is
+// faulted or cache retries are armed; a run with neither can skip the
+// bookkeeping, keeping the steady-state request path free of map
+// inserts (and thus allocation-free). A new directory dedups.
+func (d *Directory) Reset(noDedup bool) {
+	d.noDedup = noDedup
 	clear(d.lineIdx)
 	d.lineN = 0
 	d.busyLines = 0
@@ -567,7 +565,7 @@ func (d *Directory) handle(src int, m network.Msg) {
 // because replies travel unfaulted: the single accepted copy's reply
 // reaches the requester.
 func (d *Directory) duplicate(a mem.Addr, src int, id uint64) bool {
-	if id == 0 || d.cfg.NoDedup {
+	if id == 0 || d.noDedup {
 		return false // hand-assembled test message or dedup disabled
 	}
 	l := d.line(a)

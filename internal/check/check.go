@@ -43,7 +43,6 @@ import (
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
 	"weakorder/internal/scmatch"
-	"weakorder/internal/sim"
 	"weakorder/internal/splitmix"
 )
 
@@ -301,8 +300,6 @@ func deriveSeed(campaign int64, parts ...uint64) int64 {
 	}
 	return int64(x >> 1) // non-negative
 }
-
-func simTime(v int64) sim.Time { return sim.Time(v) }
 
 // satMaxEvents bounds the saturation fast path's event graph. Campaign
 // results stay far below this; anything larger (deep spin loops) is

@@ -19,9 +19,6 @@ import (
 	"weakorder/internal/scmatch"
 )
 
-// formatProgram renders a program as corpus litmus text.
-func formatProgram(p *program.Program) string { return lang.Format(p) }
-
 // writeCorpus admits one shrunk violation report: it is persisted as a
 // reproducer when a corpus directory is configured, and published to the
 // control plane's live violation feed either way (the feed announces
@@ -333,11 +330,7 @@ func Replay(e CorpusEntry, extraSeeds int) error {
 		// exhaustive-check budget, and every shrink-accepted candidate
 		// already passed this bounded check during the campaign.
 	}
-	seeds := []int64{e.Report.MachineSeed}
-	for i := 0; i < extraSeeds; i++ {
-		seeds = append(seeds, deriveSeed(e.Report.MachineSeed, uint64(i)))
-	}
-	for _, seed := range seeds {
+	for _, seed := range replaySeeds(e, extraSeeds) {
 		res, err := machine.Run(e.Prog, mcfg, seed)
 		if err != nil {
 			return fmt.Errorf("%s (seed %d): %w", e.Name, seed, err)
@@ -354,16 +347,22 @@ func Replay(e CorpusEntry, extraSeeds int) error {
 	return nil
 }
 
+// replaySeeds lists the machine seeds a replay runs: the recorded seed,
+// then extraSeeds more derived from it.
+func replaySeeds(e CorpusEntry, extraSeeds int) []int64 {
+	seeds := []int64{e.Report.MachineSeed}
+	for i := 0; i < extraSeeds; i++ {
+		seeds = append(seeds, deriveSeed(e.Report.MachineSeed, uint64(i)))
+	}
+	return seeds
+}
+
 // replayPanic replays a KindWorkerPanic entry: the recorded program
 // must now simulate to completion without panicking (the usual origin —
 // an injected test fault hook — is absent on replay, so this asserts
 // the simulator itself stays panic-free on the reproducer).
 func replayPanic(e CorpusEntry, mcfg machine.Config, extraSeeds int) error {
-	seeds := []int64{e.Report.MachineSeed}
-	for i := 0; i < extraSeeds; i++ {
-		seeds = append(seeds, deriveSeed(e.Report.MachineSeed, uint64(i)))
-	}
-	for _, seed := range seeds {
+	for _, seed := range replaySeeds(e, extraSeeds) {
 		err := func() (err error) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -392,11 +391,7 @@ func replayLiveness(e CorpusEntry, mcfg machine.Config, extraSeeds int) error {
 		// The wedge is the recorded behavior; keep the probe cheap.
 		mcfg.MaxCycles = livenessShrinkMaxCycles
 	}
-	seeds := []int64{e.Report.MachineSeed}
-	for i := 0; i < extraSeeds; i++ {
-		seeds = append(seeds, deriveSeed(e.Report.MachineSeed, uint64(i)))
-	}
-	for _, seed := range seeds {
+	for _, seed := range replaySeeds(e, extraSeeds) {
 		_, err := machine.Run(e.Prog, mcfg, seed)
 		var le *machine.LivenessError
 		wedged := errors.As(err, &le)

@@ -11,6 +11,7 @@ import (
 	"weakorder/internal/faults"
 	"weakorder/internal/machine"
 	"weakorder/internal/policy"
+	"weakorder/internal/sim"
 )
 
 // Violation kinds.
@@ -92,7 +93,7 @@ func (d ConfigDesc) Machine() (machine.Config, error) {
 		Policy:     pol,
 		Topology:   topo,
 		Caches:     d.Caches,
-		NetJitter:  simTime(d.NetJitter),
+		NetJitter:  sim.Time(d.NetJitter),
 		ExtraProcs: d.ExtraProcs,
 		DirMode:    dirMode,
 		Faults:     d.Faults,

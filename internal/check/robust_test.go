@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"weakorder/internal/lang"
 	"weakorder/internal/metrics"
 	"weakorder/internal/policy"
 )
@@ -173,7 +174,7 @@ func testReport(t *testing.T, idx int) ViolationReport {
 		MachineSeed:  7,
 		Outcome:      "x",
 		Instructions: instructionCount(p),
-		Litmus:       formatProgram(p),
+		Litmus:       lang.Format(p),
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"weakorder/internal/drf"
 	"weakorder/internal/hb"
 	"weakorder/internal/ideal"
+	"weakorder/internal/lang"
 	"weakorder/internal/machine"
 	"weakorder/internal/mem"
 	"weakorder/internal/policy"
@@ -250,7 +251,7 @@ func (c *campaign) runProgram(idx int, ws *workerState) (out progOutcome, err er
 			}
 			if prog != nil {
 				rep.Program = prog.Name
-				rep.Litmus = formatProgram(prog)
+				rep.Litmus = lang.Format(prog)
 				rep.Instructions = instructionCount(prog)
 			}
 			if out.Class == "" {
@@ -513,7 +514,7 @@ func (c *campaign) report(kind string, spec genSpec, genSeed int64, idx int,
 		Outcome:      outcome,
 		Instructions: instructionCount(shrunk),
 		ShrinkSteps:  steps,
-		Litmus:       formatProgram(shrunk),
+		Litmus:       lang.Format(shrunk),
 		Liveness:     liveness,
 	}
 	return rep, c.writeCorpus(&rep)
@@ -557,7 +558,7 @@ func (c *campaign) reportPanic(spec genSpec, genSeed int64, idx int,
 		Outcome:      "panic",
 		Instructions: instructionCount(shrunk),
 		ShrinkSteps:  steps,
-		Litmus:       formatProgram(shrunk),
+		Litmus:       lang.Format(shrunk),
 		Stack:        stack,
 	}
 	return rep, c.writeCorpus(&rep)

@@ -322,18 +322,17 @@ func (t *delayTask) fire() {
 }
 
 // New wraps inner with the fault plan, seeding the decision stream from
-// seed.
+// seed: construction followed by Reset(plan, seed).
 func New(k *sim.Kernel, inner network.Network, plan Plan, seed uint64, hooks Hooks) *Net {
-	n := &Net{k: k, inner: inner, plan: plan, hooks: hooks}
-	n.rng.Reseed(seed)
+	n := &Net{k: k, inner: inner, hooks: hooks}
+	n.Reset(plan, seed)
 	return n
 }
 
 // Reset reprograms the injector in place for a new run: a fresh plan and
 // decision-stream seed, zeroed counters, and an emptied event log. The
 // kernel, inner network, and hooks persist — pooled machines reuse one
-// injector across runs. A Reset(plan, seed) injector behaves
-// byte-identically to New(k, inner, plan, seed, hooks).
+// injector across runs.
 func (n *Net) Reset(plan Plan, seed uint64) {
 	n.plan = plan
 	n.rng.Reseed(seed)

@@ -24,11 +24,12 @@ func Format(p *program.Program) string {
 	var b strings.Builder
 	var line []byte
 	fmt.Fprintf(&b, "program %s\n", p.Name)
+	names := p.SymbolNames()
 
 	if addrs := referencedAddrs(p); len(addrs) > 0 {
 		b.WriteString("init")
 		for _, a := range addrs {
-			fmt.Fprintf(&b, " %s=%d", varName(p, a), p.Init[a])
+			fmt.Fprintf(&b, " %s=%d", varName(names, a), p.Init[a])
 		}
 		b.WriteByte('\n')
 	}
@@ -53,7 +54,7 @@ func Format(p *program.Program) string {
 			}
 			loc := ""
 			if in.Op.IsMemory() {
-				loc = varName(p, in.Addr)
+				loc = varName(names, in.Addr)
 			}
 			line = append(in.Render(append(line[:0], "  "...), loc, "L"), '\n')
 			b.Write(line)
@@ -96,8 +97,8 @@ func referencedAddrs(p *program.Program) []mem.Addr {
 	return addrs
 }
 
-func varName(p *program.Program, a mem.Addr) string {
-	if s := p.SymbolFor(a); s != "" {
+func varName(names map[mem.Addr]string, a mem.Addr) string {
+	if s := names[a]; s != "" {
 		return s
 	}
 	return fmt.Sprintf("v%d", a)

@@ -164,10 +164,11 @@ func TestFormatLitmusLibraryRoundTripsStructurally(t *testing.T) {
 
 func TestVarNameFallback(t *testing.T) {
 	p := &program.Program{Name: "n", Symbols: map[string]mem.Addr{"named": 3}}
-	if got := varName(p, 3); got != "named" {
+	names := p.SymbolNames()
+	if got := varName(names, 3); got != "named" {
 		t.Errorf("varName = %q", got)
 	}
-	if got := varName(p, 9); got != "v9" {
+	if got := varName(names, 9); got != "v9" {
 		t.Errorf("varName fallback = %q", got)
 	}
 }

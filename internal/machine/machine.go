@@ -370,6 +370,7 @@ type Machine struct {
 	rawNet      network.Network // the interconnect beneath any fault injector
 	fnet        *faults.Net
 	procs       []*cpu.Proc
+	idle        []program.Thread // per-processor placeholder threads
 	caches      []*cache.Cache
 	dirs        []*cache.Directory
 	snoopBus    *snoop.Bus
@@ -396,22 +397,20 @@ type Machine struct {
 	ffCycles   uint64 // idle cycles skipped by fast-forward
 }
 
-// New assembles a machine for prog under cfg, seeding all randomized
-// latencies from seed.
+// New assembles a machine for prog under cfg and programs its first run
+// from seed. Assembly builds only the structural component graph —
+// kernel, interconnect, fault wrapper, directories, caches or flat
+// ports, processors, telemetry tracks — and finishProcs then calls the
+// same reset that a pooled machine's Reset does, so a fresh machine and
+// a reused one start every run from one definition of per-run state.
 func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, nProcs, err := settle(prog, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	nProcs := prog.NumThreads() + cfg.ExtraProcs
 	m := &Machine{
 		cfg:    cfg,
-		prog:   prog,
 		kernel: &sim.Kernel{},
-		rng:    rand.New(rand.NewSource(seed ^ 0x5eed)),
 	}
 	if cfg.Metrics {
 		m.reg = metrics.NewRegistry()
@@ -430,9 +429,6 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			TransferLatency: cfg.BusLatency,
 			MemLatency:      cfg.MemLatency,
 		})
-		for a, v := range prog.Init {
-			m.snoopBus.SetInit(a, v)
-		}
 		for i := 0; i < nProcs; i++ {
 			sc := snoop.NewCache(m.kernel, m.snoopBus, snoop.Config{
 				HitLatency:   cfg.CacheHit,
@@ -443,7 +439,7 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			m.snoopCaches = append(m.snoopCaches, sc)
 			m.ports = append(m.ports, sc)
 		}
-		return m.finishProcs(prog, nProcs)
+		return m.finishProcs(prog, nProcs, seed)
 	}
 
 	switch cfg.Topology {
@@ -459,7 +455,6 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			// The directory protocol requires point-to-point FIFO; the
 			// raw (no-cache) configuration exhibits Lamport's reordering.
 			OrderedPairs: cfg.Caches,
-			Seed:         seed,
 			Telemetry:    m.netTelemetry(),
 		})
 	case TopoMesh:
@@ -478,26 +473,17 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 
 	if cfg.faultsEnabled() {
 		// Wrap the interconnect before any endpoint captures it, so every
-		// component's sends pass through the injector. The fault stream is
-		// derived from (not equal to) the machine seed, so fault decisions
-		// do not correlate with network jitter.
-		m.fnet = faults.New(m.kernel, m.net, *cfg.Faults,
-			splitmix.Mix(uint64(seed)^0xfa17),
-			faults.Hooks{
-				Faultable: func(msg network.Msg) bool { return cache.Faultable(msg) },
-				Describe:  func(msg network.Msg) string { return cache.MsgName(msg) },
-				Record:    cfg.RecordFaultEvents,
-			})
+		// component's sends pass through the injector. reset programs its
+		// plan and decision stream.
+		m.fnet = faults.New(m.kernel, m.net, faults.None(), 0, faults.Hooks{
+			Faultable: func(msg network.Msg) bool { return cache.Faultable(msg) },
+			Describe:  func(msg network.Msg) string { return cache.MsgName(msg) },
+			Record:    cfg.RecordFaultEvents,
+		})
 		m.net = m.fnet
 	}
 
-	home := func(a mem.Addr) int { return nProcs + int(a)%cfg.MemModules }
-
 	if cfg.Caches {
-		retryTimeout := cfg.RetryTimeout
-		if cfg.Faults != nil && cfg.Faults.DisableRetry {
-			retryTimeout = 0
-		}
 		for i := 0; i < cfg.MemModules; i++ {
 			dcfg := cache.DirConfig{
 				ID:         nProcs + i,
@@ -506,11 +492,6 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 				Mode:       cfg.DirMode,
 				Pointers:   cfg.DirPointers,
 				Coarseness: cfg.DirCoarseness,
-				// Duplicate request-class messages exist only when the
-				// interconnect is faulted or cache retries are armed; with
-				// neither, skip the served-set bookkeeping so steady-state
-				// request handling stays allocation-free.
-				NoDedup: !cfg.faultsEnabled() && retryTimeout == 0,
 			}
 			if m.reg != nil {
 				dcfg.QueueDepth = m.reg.Histogram(fmt.Sprintf("dir.%d.queue_depth", i), metrics.DepthBounds)
@@ -518,25 +499,17 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 			if m.tl != nil {
 				dcfg.Track = m.tl.Track(fmt.Sprintf("dir %d", i))
 			}
-			d := cache.NewDirectory(m.kernel, m.net, dcfg)
-			for a, v := range prog.Init {
-				if home(a) == nProcs+i {
-					d.SetInit(a, v)
-				}
-			}
-			m.dirs = append(m.dirs, d)
+			m.dirs = append(m.dirs, cache.NewDirectory(m.kernel, m.net, dcfg))
 		}
 		for i := 0; i < nProcs; i++ {
 			ccfg := cache.Config{
 				ID:             i,
-				Home:           home,
+				Home:           m.home,
 				HitLatency:     cfg.CacheHit,
 				Capacity:       cfg.CacheCapacity,
 				UseReserve:     cfg.Policy.UsesReserve(),
 				ROSyncBypass:   cfg.Policy.ROSyncBypass(),
 				ROSyncUncached: cfg.ROUncachedTest,
-				RetryTimeout:   retryTimeout,
-				RetryMax:       cfg.RetryMax,
 			}
 			if m.reg != nil {
 				ccfg.ReserveHold = m.reg.Histogram(fmt.Sprintf("cache.%d.reserve_hold", i), metrics.HoldBounds)
@@ -555,20 +528,27 @@ func New(prog *program.Program, cfg Config, seed int64) (*Machine, error) {
 		}
 	} else {
 		for i := 0; i < cfg.MemModules; i++ {
-			mod := newFlatModule(m.kernel, m.net, nProcs+i, cfg.MemLatency)
-			for a, v := range prog.Init {
-				if home(a) == nProcs+i {
-					mod.mem[a] = v
-				}
-			}
-			m.flats = append(m.flats, mod)
+			m.flats = append(m.flats, newFlatModule(m.kernel, m.net, nProcs+i, cfg.MemLatency))
 		}
 		for i := 0; i < nProcs; i++ {
-			m.ports = append(m.ports, newFlatPort(m.kernel, m.net, i, home))
+			m.ports = append(m.ports, newFlatPort(m.kernel, m.net, i, m.home))
 		}
 	}
 
-	return m.finishProcs(prog, nProcs)
+	return m.finishProcs(prog, nProcs, seed)
+}
+
+// settle applies cfg's defaults and validates it and prog, returning the
+// defaulted config and the processor count.
+func settle(prog *program.Program, cfg Config) (Config, int, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return cfg, 0, err
+	}
+	if err := prog.Validate(); err != nil {
+		return cfg, 0, err
+	}
+	return cfg, prog.NumThreads() + cfg.ExtraProcs, nil
 }
 
 // meshDims picks near-square mesh dimensions for n endpoints: the
@@ -586,26 +566,14 @@ func meshDims(n int) (w, h int) {
 	return w, h
 }
 
-// finishProcs builds the processors over the assembled ports and
-// validates migrations.
-func (m *Machine) finishProcs(prog *program.Program, nProcs int) (*Machine, error) {
+// finishProcs builds the processors over the assembled ports, validates
+// migrations, and programs the first run.
+func (m *Machine) finishProcs(prog *program.Program, nProcs int, seed int64) (*Machine, error) {
 	cfg := m.cfg
 	for i := 0; i < nProcs; i++ {
-		var th program.Thread
-		if i < prog.NumThreads() {
-			th = prog.Threads[i]
-		} else {
-			th = program.Thread{Name: fmt.Sprintf("idle%d", i)}
-		}
+		m.idle = append(m.idle, program.Thread{Name: fmt.Sprintf("idle%d", i)})
 		track := m.procTrack(i)
-		p := cpu.New(m.kernel, cpu.Config{
-			ID:                   i,
-			ThreadID:             i,
-			Policy:               cfg.Policy,
-			WriteBufferSize:      cfg.WriteBuffer,
-			MaxOutstandingWrites: cfg.MaxOutstandingWrites,
-			Track:                track,
-		}, th, m.ports[i], func(op mem.Op) {
+		p := cpu.New(m.kernel, cpu.Config{ID: i}, m.idle[i], m.ports[i], func(op mem.Op) {
 			m.trace = append(m.trace, op)
 			m.traceCycles = append(m.traceCycles, uint64(m.kernel.Now()))
 			if track != nil {
@@ -621,8 +589,99 @@ func (m *Machine) finishProcs(prog *program.Program, nProcs int) (*Machine, erro
 	}
 	m.order = make([]int, nProcs)
 	m.swap = func(i, j int) { m.order[i], m.order[j] = m.order[j], m.order[i] }
+	m.reset(prog, cfg, seed)
 	return m, nil
 }
+
+// reset programs the assembled machine for one run of prog under cfg
+// (defaulted and validated) and seed. It is the only writer of per-run
+// state: the program image and thread binding; the arbitration, jitter
+// and fault streams; retry and dedup settings; write-buffer limits.
+func (m *Machine) reset(prog *program.Program, cfg Config, seed int64) {
+	m.cfg = cfg
+	m.prog = prog
+	m.kernel.Reset()
+	// Seeding math/rand costs as much as creating the source, so the
+	// first run creates it and later runs rewind it in place; the stream
+	// is the same either way.
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(seed ^ 0x5eed))
+	} else {
+		m.rng.Seed(seed ^ 0x5eed)
+	}
+	m.trace = m.trace[:0]
+	m.traceCycles = m.traceCycles[:0]
+	m.pendingMigrations = nil
+	m.suspending = false
+	m.ffSkips, m.ffCycles = 0, 0
+
+	switch n := m.rawNet.(type) {
+	case *network.General:
+		n.Reset(seed)
+	case *network.Bus:
+		n.Reset()
+	case *network.Mesh:
+		n.Reset()
+	}
+	if m.fnet != nil {
+		// The fault stream is derived from (not equal to) the machine
+		// seed, so fault decisions do not correlate with network jitter.
+		m.fnet.Reset(*cfg.Faults, splitmix.Mix(uint64(seed)^0xfa17))
+	}
+
+	retryTimeout := cfg.RetryTimeout
+	if cfg.Faults != nil && cfg.Faults.DisableRetry {
+		retryTimeout = 0
+	}
+	// Duplicate request-class messages exist only when the interconnect
+	// is faulted or cache retries are armed; with neither, directories
+	// skip the served-set bookkeeping so steady-state request handling
+	// stays allocation-free.
+	noDedup := !cfg.faultsEnabled() && retryTimeout == 0
+	for _, d := range m.dirs {
+		d.Reset(noDedup)
+	}
+	for _, c := range m.caches {
+		c.Reset(retryTimeout, cfg.RetryMax)
+	}
+	for _, mod := range m.flats {
+		mod.reset()
+	}
+	for _, port := range m.ports {
+		if fp, ok := port.(*flatPort); ok {
+			fp.reset()
+		}
+	}
+	for a, v := range prog.Init {
+		switch {
+		case m.snoopBus != nil:
+			m.snoopBus.SetInit(a, v)
+		case m.dirs != nil:
+			m.dirs[m.home(a)-len(m.procs)].SetInit(a, v)
+		default:
+			m.flats[m.home(a)-len(m.procs)].mem[a] = v
+		}
+	}
+
+	for i, p := range m.procs {
+		th := m.idle[i]
+		if i < prog.NumThreads() {
+			th = prog.Threads[i]
+		}
+		p.Reset(cpu.Config{
+			ID:                   i,
+			ThreadID:             i,
+			Policy:               cfg.Policy,
+			WriteBufferSize:      cfg.WriteBuffer,
+			MaxOutstandingWrites: cfg.MaxOutstandingWrites,
+			Track:                m.procTrack(i),
+		}, th)
+	}
+}
+
+// home returns the endpoint of a's memory module: addresses interleave
+// across the modules, which are numbered after the processors.
+func (m *Machine) home(a mem.Addr) int { return len(m.procs) + int(a)%m.cfg.MemModules }
 
 // done reports whether all processors halted and every component drained.
 func (m *Machine) done() bool {
@@ -791,7 +850,6 @@ func (m *Machine) Run() (*RunResult, error) {
 // a dirty cached copy wins over memory.
 func (m *Machine) finalState() map[mem.Addr]mem.Value {
 	out := make(map[mem.Addr]mem.Value)
-	nProcs := len(m.procs)
 	for _, a := range m.prog.Addresses() {
 		if m.snoopBus != nil {
 			v := m.snoopBus.MemValue(a)
@@ -805,7 +863,7 @@ func (m *Machine) finalState() map[mem.Addr]mem.Value {
 			continue
 		}
 		if m.cfg.Caches {
-			v := m.dirs[int(a)%m.cfg.MemModules].MemValue(a)
+			v := m.dirs[m.home(a)-len(m.procs)].MemValue(a)
 			for _, c := range m.caches {
 				if dv, dirty := c.Snoop(a); dirty {
 					v = dv
@@ -814,7 +872,7 @@ func (m *Machine) finalState() map[mem.Addr]mem.Value {
 			}
 			out[a] = v
 		} else {
-			out[a] = m.flats[(nProcs+int(a)%m.cfg.MemModules)-nProcs].mem[a]
+			out[a] = m.flats[m.home(a)-len(m.procs)].mem[a]
 		}
 	}
 	return out

@@ -4,26 +4,24 @@ import (
 	"fmt"
 
 	"weakorder/internal/cache"
-	"weakorder/internal/cpu"
-	"weakorder/internal/mem"
-	"weakorder/internal/network"
 	"weakorder/internal/policy"
 	"weakorder/internal/program"
 	"weakorder/internal/sim"
-	"weakorder/internal/splitmix"
 )
 
 // Machine pooling: campaigns run millions of short simulations, and
 // assembling the component graph (caches with their line maps,
 // directories, network queues, kernel heap, processor state) dominated
-// the allocation profile. A pooled machine is Reset between runs — every
-// component rewinds in place, retaining its backing arrays, free lists,
-// and arenas — so a steady-state campaign iteration allocates only what
-// escapes into its RunResult.
+// the allocation profile. A machine therefore has one lifecycle with two
+// halves. New assembles the graph once and then calls reset; a pooled
+// machine's Reset skips assembly and calls the same reset, which rewinds
+// every component in place — retaining backing arrays, free lists, and
+// arenas — and is the only writer of per-run state. A steady-state
+// campaign iteration allocates only what escapes into its RunResult.
 //
-// Reset is only legal between *structurally identical* configurations:
+// Reuse is only legal between *structurally identical* configurations:
 // the component graph (topology, cache hierarchy, processor and module
-// counts) and every parameter baked into a component at construction
+// counts) and every parameter baked into a component at assembly
 // (latencies, capacities, the policy's reserve/bypass wiring, fault-
 // injector presence) must match. poolKey captures exactly that set;
 // per-run knobs — seed, fault plan intensity, retry tuning, write-buffer
@@ -88,105 +86,28 @@ func (c Config) poolable() bool {
 // reusing the component graph — caches, directories, network queues,
 // kernel heap, message pools — instead of reconstructing it. cfg must be
 // structurally identical to the machine's original configuration (equal
-// poolKey) and poolable; per-run knobs may change. A Reset machine runs
-// byte-identically to a freshly assembled one: traces, results, stats,
-// fault schedules, and liveness reports are indistinguishable, which
+// poolKey) and poolable; per-run knobs may change. Reset runs the same
+// reset that New ends with, so a Reset machine runs byte-identically to a
+// freshly assembled one: traces, results, stats, fault schedules, and
+// liveness reports are indistinguishable, which
 // TestPooledMachineByteIdentical pins.
 //
 // The previous run's RunResult aliases machine-owned buffers (Exec.Ops
 // and OpCycles); Reset invalidates it. Callers that outlive the next
 // run must copy what they keep.
 func (m *Machine) Reset(prog *program.Program, cfg Config, seed int64) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if err := prog.Validate(); err != nil {
+	cfg, nProcs, err := settle(prog, cfg)
+	if err != nil {
 		return err
 	}
 	if !cfg.poolable() {
 		return fmt.Errorf("machine: config %s is not poolable", cfg.Name())
 	}
-	nProcs := prog.NumThreads() + cfg.ExtraProcs
 	if got, want := cfg.key(nProcs), m.cfg.key(len(m.procs)); got != want {
 		return fmt.Errorf("machine: config %s (%d procs) is structurally incompatible with pooled machine %s (%d procs)",
 			cfg.Name(), nProcs, m.cfg.Name(), len(m.procs))
 	}
-	m.cfg = cfg
-	m.prog = prog
-	m.kernel.Reset()
-	// Same stream as New's rand.New(rand.NewSource(seed ^ 0x5eed)): Seed
-	// rewinds the shared source in place.
-	m.rng.Seed(seed ^ 0x5eed)
-	m.trace = m.trace[:0]
-	m.traceCycles = m.traceCycles[:0]
-	m.pendingMigrations = nil
-	m.suspending = false
-	m.ffSkips, m.ffCycles = 0, 0
-
-	switch n := m.rawNet.(type) {
-	case *network.General:
-		n.Reset(seed)
-	case *network.Bus:
-		n.Reset()
-	case *network.Mesh:
-		n.Reset()
-	}
-	if m.fnet != nil {
-		// Same derived stream as New: fault decisions stay uncorrelated
-		// with network jitter.
-		m.fnet.Reset(*cfg.Faults, splitmix.Mix(uint64(seed)^0xfa17))
-	}
-
-	home := func(a mem.Addr) int { return nProcs + int(a)%cfg.MemModules }
-	if cfg.Caches {
-		retryTimeout := cfg.RetryTimeout
-		if cfg.Faults != nil && cfg.Faults.DisableRetry {
-			retryTimeout = 0
-		}
-		for i, d := range m.dirs {
-			d.Reset()
-			d.SetNoDedup(!cfg.faultsEnabled() && retryTimeout == 0)
-			for a, v := range prog.Init {
-				if home(a) == nProcs+i {
-					d.SetInit(a, v)
-				}
-			}
-		}
-		for _, c := range m.caches {
-			c.Reset(retryTimeout, cfg.RetryMax)
-		}
-	} else {
-		for i, mod := range m.flats {
-			mod.reset()
-			for a, v := range prog.Init {
-				if home(a) == nProcs+i {
-					mod.mem[a] = v
-				}
-			}
-		}
-		for _, port := range m.ports {
-			if fp, ok := port.(*flatPort); ok {
-				fp.reset()
-			}
-		}
-	}
-
-	for i, p := range m.procs {
-		var th program.Thread
-		if i < prog.NumThreads() {
-			th = prog.Threads[i]
-		} else {
-			th = program.Thread{Name: fmt.Sprintf("idle%d", i)}
-		}
-		p.Reset(cpu.Config{
-			ID:                   i,
-			ThreadID:             i,
-			Policy:               cfg.Policy,
-			WriteBufferSize:      cfg.WriteBuffer,
-			MaxOutstandingWrites: cfg.MaxOutstandingWrites,
-		}, th)
-	}
+	m.reset(prog, cfg, seed)
 	return nil
 }
 

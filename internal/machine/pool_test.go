@@ -92,25 +92,45 @@ func TestPooledMachineByteIdentical(t *testing.T) {
 
 // Per-run knobs (write-buffer depth, outstanding-write bound, retry
 // tuning) may change between pooled runs; the reset machine must honor
-// the new values exactly as a fresh build would.
+// the new values exactly as a fresh build would. Retry arming is the
+// sharpest case: it also decides whether directories dedup, so a
+// retry-armed run after a retry-free one (or the reverse) on the same
+// instance fails unless both are re-programmed.
 func TestPooledMachineHonorsPerRunKnobs(t *testing.T) {
 	p := litmus.CriticalSection(2, 2)
 	base := Config{Policy: policy.WODef2, Topology: TopoNetwork, Caches: true}
 	narrow := base
 	narrow.WriteBuffer = 1
 	narrow.MaxOutstandingWrites = 1
+	// A timeout below the network round trip makes retries fire without
+	// any fault plan, so the directories must absorb the duplicates.
+	retry := base
+	retry.RetryTimeout = 4
+	retry.RetryMax = 3
 
-	pool := NewPool()
-	if _, err := pool.RunPooled(p, base, 9); err != nil {
-		t.Fatal(err)
+	fresh := mustRun(t, p, retry, 9)
+	var retries, dups uint64
+	for _, c := range fresh.Stats.Caches {
+		retries += c.Retries
 	}
-	res, err := pool.RunPooled(p, narrow, 9)
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range fresh.Stats.Dirs {
+		dups += d.Duplicates
 	}
-	got := cloneResult(res)
-	fresh := mustRun(t, p, narrow, 9)
-	assertIdentical(t, "narrow write buffer (pooled vs fresh)", got, fresh)
+	if retries == 0 || dups == 0 {
+		t.Fatalf("retry config exercised nothing: %d retries, %d duplicates", retries, dups)
+	}
+
+	for s, seq := range [][]Config{{base, narrow}, {base, retry}, {retry, base}} {
+		pool := NewPool()
+		for i, cfg := range seq {
+			res, err := pool.RunPooled(p, cfg, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("sequence %d, run %d (pooled vs fresh)", s, i)
+			assertIdentical(t, label, cloneResult(res), mustRun(t, p, cfg, 9))
+		}
+	}
 }
 
 // A liveness (watchdog) death must produce the same structured report

@@ -223,7 +223,7 @@ func NewGeneral(k *sim.Kernel, cfg GeneralConfig) *General {
 		cfg.BaseLatency = 1
 	}
 	g := &General{k: k, cfg: cfg}
-	g.rng.Reseed(uint64(cfg.Seed))
+	g.Reset(cfg.Seed)
 	return g
 }
 

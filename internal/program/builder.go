@@ -20,6 +20,7 @@ import (
 type Builder struct {
 	name    string
 	symbols map[string]mem.Addr
+	names   map[mem.Addr]string // symbols inverted (see nameAddr)
 	next    mem.Addr
 	init    map[mem.Addr]mem.Value
 	threads []*ThreadBuilder
@@ -32,6 +33,7 @@ func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:    name,
 		symbols: make(map[string]mem.Addr),
+		names:   make(map[mem.Addr]string),
 		init:    make(map[mem.Addr]mem.Value),
 	}
 }
@@ -45,6 +47,7 @@ func (b *Builder) Var(name string) mem.Addr {
 	a := b.next
 	b.next++
 	b.symbols[name] = a
+	nameAddr(b.names, name, a)
 	return a
 }
 
@@ -56,6 +59,7 @@ func (b *Builder) VarAt(name string, a mem.Addr) mem.Addr {
 		return old
 	}
 	b.symbols[name] = a
+	nameAddr(b.names, name, a)
 	if a >= b.next {
 		b.next = a + 1
 	}
@@ -88,15 +92,6 @@ func (b *Builder) fail(err error) {
 	if b.err == nil {
 		b.err = err
 	}
-}
-
-func (b *Builder) symbolFor(a mem.Addr) string {
-	for name, addr := range b.symbols {
-		if addr == a {
-			return name
-		}
-	}
-	return ""
 }
 
 // Build resolves labels and returns the validated Program. The first error
@@ -169,7 +164,7 @@ func (t *ThreadBuilder) Emit(in Instr, label string) *ThreadBuilder {
 		t.patches = append(t.patches, patch{instr: len(t.instrs), label: label})
 	}
 	if in.Sym == "" && in.Op.IsMemory() {
-		in.Sym = t.parent.symbolFor(in.Addr)
+		in.Sym = t.parent.names[in.Addr]
 	}
 	t.instrs = append(t.instrs, in)
 	return t

@@ -339,14 +339,37 @@ func (p *Program) AddrOf(name string) (mem.Addr, bool) {
 	return a, ok
 }
 
-// SymbolFor returns the name mapped to an address, or "" if none.
+// SymbolFor returns the name mapped to an address, or "" if none. When
+// several names alias one address it returns the least, as SymbolNames
+// does.
 func (p *Program) SymbolFor(a mem.Addr) string {
-	for name, addr := range p.Symbols {
-		if addr == a {
-			return name
+	name := ""
+	for s, addr := range p.Symbols {
+		if addr == a && (name == "" || s < name) {
+			name = s
 		}
 	}
-	return ""
+	return name
+}
+
+// SymbolNames inverts Symbols in one pass: each named address maps to
+// what SymbolFor returns for it. Callers that name many addresses build
+// it once instead of scanning Symbols per address.
+func (p *Program) SymbolNames() map[mem.Addr]string {
+	names := make(map[mem.Addr]string, len(p.Symbols))
+	for s, a := range p.Symbols {
+		nameAddr(names, s, a)
+	}
+	return names
+}
+
+// nameAddr records name for a in an inverted symbol table, keeping the
+// least name when several alias one address, so the choice does not
+// depend on map iteration order.
+func nameAddr(names map[mem.Addr]string, name string, a mem.Addr) {
+	if old, ok := names[a]; !ok || name < old {
+		names[a] = name
+	}
 }
 
 // Addresses returns the sorted set of addresses the program can touch:
@@ -445,8 +468,9 @@ func (p *Program) String() string {
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		b.WriteString("init:")
+		names := p.SymbolNames()
 		for _, a := range addrs {
-			sym := p.SymbolFor(a)
+			sym := names[a]
 			if sym == "" {
 				sym = fmt.Sprintf("[%d]", a)
 			}

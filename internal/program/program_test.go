@@ -36,6 +36,30 @@ func TestBuilderVarAtConflict(t *testing.T) {
 	}
 }
 
+// Names aliased to one address resolve to the least name everywhere —
+// the Builder's operand symbols, SymbolFor and SymbolNames — whatever
+// the binding order, so rendering never depends on map iteration.
+func TestSymbolAliasesResolveToLeastName(t *testing.T) {
+	b := NewBuilder("alias")
+	b.Var("y")      // address 0
+	b.VarAt("x", 0) // alias bound later but sorting first
+	b.VarAt("z", 0)
+	b.Thread().Load(R0, 0)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Threads[0].Instrs[0].Sym; got != "x" {
+		t.Errorf("operand symbol = %q, want x", got)
+	}
+	if got := p.SymbolFor(0); got != "x" {
+		t.Errorf("SymbolFor(0) = %q, want x", got)
+	}
+	if got := p.SymbolNames(); len(got) != 1 || got[0] != "x" {
+		t.Errorf("SymbolNames() = %v, want map[0:x]", got)
+	}
+}
+
 func TestBuildSimpleProgram(t *testing.T) {
 	b := NewBuilder("simple")
 	x := b.Var("x")
